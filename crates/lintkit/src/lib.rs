@@ -15,7 +15,7 @@
 //! | `no-extern-dep` | every dependency is an in-repo path dependency |
 //! | `shared-mutable` | no shared-mutable-state types on the shard payload path |
 //! | `cross-shard-access` | shard-owned methods only from audited store/barrier code |
-//! | `float-fold-order` | float folds in the fluid solver stay slot-ordered |
+//! | `float-fold-order` | float folds in the fluid solver walk a fixed order |
 //! | `stale-allow` | every allow-annotation must still suppress something |
 //!
 //! It ships three ways: as `cargo run -p lintkit` (file:line:rule

@@ -88,8 +88,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "float-fold-order",
         summary: "float accumulation (`+=`/`-=`/.sum()) fed from a non-slot-ordered iterator \
-                  in the fluid solver; fp addition is non-associative, so fold order must be \
-                  slot-ascending (live_idx/order/class_bytes) to keep results seed-pure",
+                  in the fluid solver; fp addition is non-associative, so folds must walk a \
+                  fixed-order structure (class_bytes/class_weight/capped) to keep results \
+                  seed-pure",
     },
     RuleInfo {
         name: "stale-allow",
@@ -132,15 +133,17 @@ pub const SHARD_ENGINE_FILES: &[&str] = &[
 ];
 
 /// Files where `float-fold-order` applies: the fluid solver, whose float
-/// accumulation order is part of the determinism contract (PR 5's
-/// `live_idx` rewrite exists precisely to keep folds slot-ascending).
+/// accumulation order is part of the determinism contract.
 pub const FLOAT_FOLD_FILES: &[&str] = &["crates/simkit/src/fluid.rs"];
 
-/// Iteration sources the fluid solver is allowed to fold floats over:
-/// dense slot-ascending structures (plus literal `..` ranges, handled
-/// separately). Anything else — a map's values, a hash-ordered view, a
-/// filtered scratch list — has no fixed fold order.
-const SLOT_ORDERED_SOURCES: &[&str] = &["live_idx", "order", "class_bytes", "flows"];
+/// Iteration sources the fluid solver is allowed to fold floats over,
+/// each with an order fixed by the flow set alone (plus literal `..`
+/// ranges, handled separately): the per-class byte and uncapped-weight
+/// arrays (class-indexed) and the capped side set (sorted by
+/// `(cap / weight, slot)`). Anything else has no fixed fold order: a
+/// map's values, a filtered scratch list, or the finish-tag heap, whose
+/// storage order depends on the history of pushes and pops.
+const SLOT_ORDERED_SOURCES: &[&str] = &["class_bytes", "class_weight", "capped"];
 
 /// Shared-mutable-state type names forbidden in shard-payload-path
 /// crates (`Atomic*` is matched by prefix).
@@ -512,9 +515,9 @@ pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec
 
     // float-fold-order: float accumulation fed from a non-slot-ordered
     // iterator in the fluid solver. fp addition is non-associative; the
-    // determinism contract requires folds to walk dense slot-ascending
-    // structures (live_idx / order / class_bytes / flows) or literal
-    // ranges, never a map view or filtered scratch collection.
+    // determinism contract requires folds to walk fixed-order structures
+    // (class_bytes / class_weight / capped) or literal ranges, never a
+    // map view, a filtered scratch collection or the tag heap.
     if FLOAT_FOLD_FILES.contains(&rel) {
         let sanctioned = |window: &[&Token<'_>]| {
             window.iter().enumerate().any(|(k, t)| {
@@ -586,7 +589,7 @@ pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec
                         format!(
                             "`{}=` accumulation inside a `for` over a non-slot-ordered \
                              iterator; fp addition is non-associative, so fold over \
-                             live_idx/order/class_bytes (slot-ascending) instead",
+                             class_bytes/class_weight/capped (fixed order) instead",
                             code[k].text
                         ),
                         &mut diags,
@@ -624,8 +627,8 @@ pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec
                 t.line,
                 format!(
                     ".{}() folds floats from a non-slot-ordered iterator; fp addition is \
-                     non-associative, so fold over live_idx/order/class_bytes \
-                     (slot-ascending) instead",
+                     non-associative, so fold over class_bytes/class_weight/capped \
+                     (fixed order) instead",
                     t.text
                 ),
                 &mut diags,

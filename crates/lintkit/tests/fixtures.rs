@@ -324,12 +324,24 @@ fn float_fold_over_unordered_source_is_flagged() {
 }
 
 #[test]
+fn float_fold_over_heap_order_is_flagged() {
+    // The finish-tag heap's storage order depends on its push/pop history,
+    // not on the flow set: folding over it is order-sensitive.
+    let acc = "impl F { fn t(&mut self) { for &s in &self.heap { self.acc += self.tag[s]; } } }\n";
+    let diags = lint_rust_file("crates/simkit/src/fluid.rs", acc);
+    assert_eq!(rules_of(&diags), ["float-fold-order"], "{diags:?}");
+    let sum = "impl F { fn t(&self) -> f64 { self.heap.iter().map(|&s| self.tag[s]).sum() } }\n";
+    let diags = lint_rust_file("crates/simkit/src/fluid.rs", sum);
+    assert_eq!(rules_of(&diags), ["float-fold-order"], "{diags:?}");
+}
+
+#[test]
 fn slot_ordered_folds_and_ranges_are_clean() {
     let ok = "impl F {\n\
-              fn a(&self) -> f64 { self.live_idx.iter().map(|&i| self.flows[i].rate).sum() }\n\
+              fn a(&self) -> f64 { self.capped.iter().map(|f| f.rate).sum() }\n\
               fn b(&self) -> u64 { self.class_bytes.iter().sum() }\n\
-              fn c(&mut self) { for k in 0..self.live_idx.len() { self.acc += self.rates[k]; } }\n\
-              fn d(&mut self) { for &i in &order { self.acc += self.flows[i].w; } }\n\
+              fn c(&mut self) { for k in 0..self.capped.len() { self.acc += self.rates[k]; } }\n\
+              fn d(&mut self) { for w in &self.class_weight { self.acc += w; } }\n\
               }\n";
     assert!(lint_rust_file("crates/simkit/src/fluid.rs", ok).is_empty());
     // Outside the fluid solver the rule does not apply.

@@ -27,24 +27,43 @@
 //!
 //! # Performance
 //!
-//! Every operation is amortized **O(active flows)**, independent of how
-//! many retired slots the flow table has accumulated:
+//! With `n` live flows and `k` of them rate-capped, start, end, cap change
+//! and sync cost **O(log n + completions + k)** and
+//! [`FluidResource::next_wake`] costs O(1 + k). Only the Intel MLC injector
+//! caps flows, so `k` is 0 on every hot resource. This is the GPS/WFQ
+//! virtual-time construction (Parekh & Gallager 1993; Demers, Keshav &
+//! Shenker 1989):
 //!
-//! - `live_idx` keeps the live slots in ascending slot order, so
-//!   [`FluidResource::sync`], [`FluidResource::next_wake`] and
-//!   [`FluidResource::allocated_rate`] never visit dead slots. Ascending
-//!   order also pins the floating-point accumulation order to what a full
-//!   table scan would produce, so results are bit-identical to the naive
-//!   implementation (kept as a differential oracle in the tests).
-//! - `order` caches the water-filling order — live slots sorted by
-//!   `(rate_cap / weight, slot)` — and is maintained by binary-searched
-//!   insert/remove as flows come and go. `recompute` therefore never
-//!   sorts; a full re-sort happens only when a rate-cap change invalidated
-//!   the cached order. While no live flow is capped the order degenerates
-//!   to ascending slots, so `order` is dropped entirely and `recompute`
-//!   water-fills straight over `live_idx` (the fast path).
-//! - `next_wake` is memoized; the cache is cleared whenever time advances
-//!   or rates change, so repeated queries between events are O(1).
+//! - **One clock for all uncapped flows.** Under weighted max-min sharing,
+//!   every flow without a binding cap moves at `weight × level`, where the
+//!   *level* is the capacity the capped flows leave free divided by the
+//!   live uncapped weight. The resource keeps one virtual clock
+//!   `V(t) = ∫ level dt` (bytes per unit weight) instead of per-flow byte
+//!   counters. A finite uncapped flow of `b` bytes started at `V₀` gets the
+//!   finish tag `V₀ + b / weight`; it has `(tag − V) × weight` bytes left
+//!   and completes when `V` reaches its tag. `V` re-bases to 0 whenever
+//!   the tag heap drains.
+//! - **An indexed finish-tag heap.** Tags live in a binary min-heap on
+//!   `(tag, slot)` with a slot → position array, so the next uncapped
+//!   completion is the heap top and `end_flow`/`set_rate_cap` remove a
+//!   flow in O(log n). Persistent (∞-byte) flows count toward the level
+//!   and the per-class weights but never enter the heap.
+//! - **Per-class bytes from per-class weights.** Each sync credits every
+//!   class `live uncapped weight × ΔV`, then takes back the overshoot of
+//!   each flow retired past its tag, so a flow is credited exactly its
+//!   size, as with explicit counters.
+//! - **A capped side set.** Flows with a finite cap keep an explicit rate
+//!   and remaining byte count in a small set sorted by `(cap / weight,
+//!   slot)`. Only that set is water-filled on a change; what it leaves
+//!   fixes the level for everyone else.
+//!
+//! Flows completing in one sync are reported in ascending slot order, and
+//! the epoch bumps exactly where a full re-water-fill would run (every
+//! start, end, cap or capacity change, and every sync that retires a
+//! flow), so a driver cannot tell this solver from the naive O(n) one kept
+//! as the test oracle. They differ only in floating-point summation order:
+//! rates and per-class bytes agree within 1e-9 relative and wake instants
+//! within 1 ps.
 //!
 //! # Examples
 //!
@@ -65,24 +84,12 @@
 //! ```
 
 use crate::time::Time;
-// simlint: allow(shared-mutable, reason = "single-owner memo cache: Cell lets &self next_wake() memoize; a FluidResource never leaves its owning shard")
-use std::cell::Cell;
 
 /// Residual byte count below which a flow is considered complete.
 const EPS_BYTES: f64 = 0.5;
 
-/// Completion instant of `remaining` bytes at `rate` from `base`: ceil to
-/// the next picosecond, + 1 ps so the wake lands strictly after the
-/// completion instant even when the division is exactly representable.
-/// Pure per-flow arithmetic — used by both the fused wake-min updates and
-/// the fallback [`FluidResource::next_wake`] scan, which therefore agree
-/// bit-for-bit.
-#[inline]
-fn wake_at(base: Time, remaining: f64, rate: f64) -> Time {
-    let secs = remaining / rate;
-    base.saturating_add(Time::from_secs_ceil(secs))
-        .saturating_add(Time::from_ps(1))
-}
+/// `heap_pos` entry of a slot that is not in the finish-tag heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// Identifier for a flow within one [`FluidResource`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -153,14 +160,20 @@ pub struct FlowEnd {
     pub token: u64,
 }
 
+/// A live flow with a finite rate cap, tracked explicitly in the side set.
+#[derive(Copy, Clone, Debug)]
+struct CappedFlow {
+    slot: u32,
+    rate: f64,
+    remaining: f64,
+}
+
 /// A shared-bandwidth resource with weighted max-min fair allocation.
 ///
 /// See the module-level documentation for the driving protocol and the
-/// performance model. The flow table is stored struct-of-arrays: the
-/// hot passes ([`FluidResource::sync`], `recompute`) each touch only
-/// the one or two columns they need, so a pass over the live set reads
-/// a handful of dense cache lines instead of one scattered 64-byte
-/// record per flow.
+/// virtual-time construction behind it. The flow table is stored
+/// struct-of-arrays; a slot's column entries are meaningful only while
+/// `live[slot]`.
 #[derive(Debug)]
 pub struct FluidResource {
     name: &'static str,
@@ -168,15 +181,17 @@ pub struct FluidResource {
     /// Design capacity; `capacity` may be scaled below this by fault
     /// injection and restored via [`FluidResource::set_capacity_frac`].
     nominal: f64,
-    /// Per-slot flow columns (struct-of-arrays, all the same length).
-    /// A slot's entries are meaningful only while `live[slot]`.
-    rate: Vec<f64>,
-    remaining: Vec<f64>,
     weight: Vec<f64>,
+    /// Rate cap; a finite cap places the slot in `capped`.
     cap: Vec<f64>,
     class: Vec<u8>,
     token: Vec<u64>,
     live: Vec<bool>,
+    /// Finish tag of an uncapped flow: the `vclock` value at which it
+    /// completes (`∞` for persistent flows).
+    tag: Vec<f64>,
+    /// The slot's position in `heap`, or [`NOT_IN_HEAP`].
+    heap_pos: Vec<u32>,
     free: Vec<u32>,
     active: usize,
     last_sync: Time,
@@ -184,29 +199,29 @@ pub struct FluidResource {
     completed: Vec<FlowEnd>,
     /// Cumulative bytes moved, per accounting class.
     class_bytes: [f64; 8],
-    /// Live slot indices in ascending slot order: the dense iteration
-    /// index that keeps the hot paths off dead slots.
-    live_idx: Vec<u32>,
-    /// Live slot indices sorted by `(rate_cap / weight, slot)` — the
-    /// cached water-filling order. Valid only while `order_valid`;
-    /// dropped while no live flow is capped (the order then equals
-    /// `live_idx`).
-    order: Vec<u32>,
-    /// Whether `order` currently mirrors the live set.
-    order_valid: bool,
-    /// Number of live flows with a finite rate cap.
-    capped_live: usize,
-    /// Incrementally maintained sum of live-flow weights. Trusted by
-    /// `recompute` only while `weights_exact` holds.
-    weight_sum: f64,
-    /// True while every weight ever admitted was an exact multiple of
-    /// 1/16 small enough that `weight_sum` stays bit-identical to a
-    /// fresh summing pass (f64 sums of such values below 2^40 are exact
-    /// in any order). Sticky-false once an inexact weight shows up.
-    weights_exact: bool,
-    /// Memoized [`FluidResource::next_wake`]; `None` means "recompute".
-    // simlint: allow(shared-mutable, reason = "single-owner memo cache; never crosses a shard boundary")
-    wake_cache: Cell<Option<Option<Time>>>,
+    /// Virtual clock `V`: bytes per unit weight every uncapped flow has
+    /// moved since the heap last drained.
+    vclock: f64,
+    /// `dV/dt`: the per-unit-weight rate of every uncapped flow.
+    level: f64,
+    /// Live uncapped weight per class, persistent flows included.
+    class_weight: [f64; 8],
+    /// Live uncapped flows per class: a class's weight resets to exactly
+    /// zero when its last flow leaves, so no rounding residue survives.
+    class_flows: [u32; 8],
+    /// Finite uncapped flows: a binary min-heap of slots on `(tag, slot)`.
+    heap: Vec<u32>,
+    /// Lower bound on the weights in `heap` since it last drained; it
+    /// sizes the retirement window `EPS_BYTES / weight` of `retire_due`.
+    heap_min_weight: f64,
+    /// Capped flows, sorted by `(cap / weight, slot)`: the water-filling
+    /// order.
+    capped: Vec<CappedFlow>,
+    /// Scratch: slots retiring in the current sync, sorted ascending
+    /// before anything is folded over them.
+    retired: Vec<u32>,
+    /// Scratch: heap slots inside the retirement window but not yet done.
+    deferred: Vec<u32>,
 }
 
 impl FluidResource {
@@ -224,27 +239,28 @@ impl FluidResource {
             name,
             capacity,
             nominal: capacity,
-            rate: Vec::new(),
-            remaining: Vec::new(),
             weight: Vec::new(),
             cap: Vec::new(),
             class: Vec::new(),
             token: Vec::new(),
             live: Vec::new(),
+            tag: Vec::new(),
+            heap_pos: Vec::new(),
             free: Vec::new(),
             active: 0,
             last_sync: Time::ZERO,
             epoch: 0,
             completed: Vec::new(),
             class_bytes: [0.0; 8],
-            live_idx: Vec::new(),
-            order: Vec::new(),
-            order_valid: false,
-            capped_live: 0,
-            weight_sum: 0.0,
-            weights_exact: true,
-            // simlint: allow(shared-mutable, reason = "single-owner memo cache; never crosses a shard boundary")
-            wake_cache: Cell::new(None),
+            vclock: 0.0,
+            level: 0.0,
+            class_weight: [0.0; 8],
+            class_flows: [0; 8],
+            heap: Vec::new(),
+            heap_min_weight: f64::INFINITY,
+            capped: Vec::new(),
+            retired: Vec::new(),
+            deferred: Vec::new(),
         }
     }
 
@@ -314,10 +330,8 @@ impl FluidResource {
 
     /// Sum of current flow rates (bytes/sec); never exceeds capacity.
     pub fn allocated_rate(&self) -> f64 {
-        self.live_idx
-            .iter()
-            .map(|&s| self.rate[s as usize])
-            .sum()
+        let uncapped = self.level * self.uncapped_weight();
+        uncapped + self.capped.iter().map(|f| f.rate).sum::<f64>()
     }
 
     /// Current rate of one flow in bytes/sec.
@@ -326,70 +340,144 @@ impl FluidResource {
     ///
     /// Panics if the flow has already completed or been ended.
     pub fn flow_rate(&self, id: FlowId) -> f64 {
-        assert!(
-            self.live[id.0 as usize],
-            "{}: flow {id:?} is not live",
-            self.name
-        );
-        self.rate[id.0 as usize]
+        let i = id.0 as usize;
+        assert!(self.live[i], "{}: flow {id:?} is not live", self.name);
+        if self.cap[i].is_finite() {
+            self.capped[self.capped_pos(id.0)].rate
+        } else {
+            self.weight[i] * self.level
+        }
     }
 
-    /// The water-filling sort key of a live slot. NaN-free: `start_flow`
-    /// rejects non-positive weights and NaN caps.
-    fn order_key(&self, slot: u32) -> f64 {
-        self.cap[slot as usize] / self.weight[slot as usize]
+    /// Live uncapped weight: the divisor of the level.
+    fn uncapped_weight(&self) -> f64 {
+        self.class_weight.iter().sum()
     }
 
-    /// Position of `slot` in `order` under the `(key, slot)` total order:
-    /// its index if present, its insertion point if not.
-    fn order_pos(&self, slot: u32) -> usize {
-        let key = self.order_key(slot);
-        self.order.partition_point(|&o| {
-            let ko = self.order_key(o);
-            ko < key || (ko == key && o < slot)
+    /// Position of `slot` in `capped` under the `(cap / weight, slot)`
+    /// order: its index if present, its insertion point if not.
+    fn capped_pos(&self, slot: u32) -> usize {
+        let key = |s: u32| self.cap[s as usize] / self.weight[s as usize];
+        let k = key(slot);
+        self.capped.partition_point(|f| {
+            let kf = key(f.slot);
+            kf < k || (kf == k && f.slot < slot)
         })
     }
 
-    /// Invalidates the cached water-filling order (used whenever it would
-    /// degenerate to `live_idx` and maintaining it would be pure waste).
-    fn drop_order(&mut self) {
-        self.order_valid = false;
-        self.order.clear();
+    /// Heap order: finish tag, then slot.
+    fn heap_less(&self, a: u32, b: u32) -> bool {
+        let (ta, tb) = (self.tag[a as usize], self.tag[b as usize]);
+        ta < tb || (ta == tb && a < b)
     }
 
-    /// Registers a newly live slot in the dense indices.
-    fn index_insert(&mut self, slot: u32) {
-        let pos = self.live_idx.partition_point(|&s| s < slot);
-        self.live_idx.insert(pos, slot);
-        let w = self.weight[slot as usize];
-        self.weight_sum += w;
-        if (w * 16.0).fract() != 0.0 || w > 1048576.0 || self.weight_sum > 1.1e12 {
-            self.weights_exact = false;
+    fn heap_place(&mut self, pos: usize, slot: u32) {
+        self.heap[pos] = slot;
+        self.heap_pos[slot as usize] = pos as u32;
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let slot = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let p = self.heap[parent];
+            if !self.heap_less(slot, p) {
+                break;
+            }
+            self.heap_place(pos, p);
+            pos = parent;
         }
-        self.capped_live += self.cap[slot as usize].is_finite() as usize;
-        if self.capped_live == 0 {
-            self.drop_order();
-        } else if self.order_valid {
-            let pos = self.order_pos(slot);
-            self.order.insert(pos, slot);
+        self.heap_place(pos, slot);
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let slot = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap_less(self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !self.heap_less(c, slot) {
+                break;
+            }
+            self.heap_place(pos, c);
+            pos = child;
+        }
+        self.heap_place(pos, slot);
+    }
+
+    fn heap_push(&mut self, slot: u32) {
+        self.heap.push(slot);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn heap_remove(&mut self, slot: u32) {
+        let pos = self.heap_pos[slot as usize] as usize;
+        debug_assert_eq!(self.heap.get(pos).copied(), Some(slot));
+        self.heap_pos[slot as usize] = NOT_IN_HEAP;
+        self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            self.sift_down(pos);
+            self.sift_up(pos);
         }
     }
 
-    /// Removes a (still spec-intact) slot from the dense indices.
-    fn index_remove(&mut self, slot: u32) {
-        if self.order_valid {
-            let pos = self.order_pos(slot);
-            debug_assert_eq!(self.order.get(pos).copied(), Some(slot));
-            self.order.remove(pos);
+    /// Places live `slot`, holding `bytes` still to move, under its
+    /// current cap: in the capped side set, or among the uncapped flows
+    /// (in the tag heap unless persistent).
+    fn attach(&mut self, slot: u32, bytes: f64) {
+        let i = slot as usize;
+        if self.cap[i].is_finite() {
+            let pos = self.capped_pos(slot);
+            self.capped.insert(pos, CappedFlow { slot, rate: 0.0, remaining: bytes });
+            return;
         }
-        let pos = self.live_idx.partition_point(|&s| s < slot);
-        debug_assert_eq!(self.live_idx.get(pos).copied(), Some(slot));
-        self.live_idx.remove(pos);
-        self.weight_sum -= self.weight[slot as usize];
-        self.capped_live -= self.cap[slot as usize].is_finite() as usize;
-        if self.capped_live == 0 {
-            self.drop_order();
+        let (w, c) = (self.weight[i], self.class[i] as usize);
+        self.class_weight[c] += w;
+        self.class_flows[c] += 1;
+        if bytes.is_finite() {
+            self.tag[i] = self.vclock + bytes / w;
+            self.heap_min_weight = self.heap_min_weight.min(w);
+            self.heap_push(slot);
+        } else {
+            self.tag[i] = f64::INFINITY;
         }
+    }
+
+    /// Undoes [`attach`](Self::attach) for live `slot`, returning the bytes
+    /// it still had to move.
+    fn detach(&mut self, slot: u32) -> f64 {
+        let i = slot as usize;
+        if self.cap[i].is_finite() {
+            let pos = self.capped_pos(slot);
+            debug_assert_eq!(self.capped.get(pos).map(|f| f.slot), Some(slot));
+            return self.capped.remove(pos).remaining;
+        }
+        self.release_weight(slot);
+        if self.heap_pos[i] == NOT_IN_HEAP {
+            return f64::INFINITY;
+        }
+        self.heap_remove(slot);
+        (self.tag[i] - self.vclock) * self.weight[i]
+    }
+
+    /// Takes an uncapped slot's weight out of its class.
+    fn release_weight(&mut self, slot: u32) {
+        let c = self.class[slot as usize] as usize;
+        self.class_flows[c] -= 1;
+        self.class_weight[c] = if self.class_flows[c] == 0 {
+            0.0
+        } else {
+            self.class_weight[c] - self.weight[slot as usize]
+        };
     }
 
     /// Advances fluid state to `now`, moving bytes and retiring finished
@@ -410,47 +498,88 @@ impl FluidResource {
         if dt == 0.0 || self.active == 0 {
             return;
         }
-        let mut retired = false;
-        for k in 0..self.live_idx.len() {
-            let i = self.live_idx[k] as usize;
-            let rate = self.rate[i];
-            if rate == 0.0 {
+        if self.level > 0.0 {
+            let dv = self.level * dt;
+            for c in 0..8 {
+                if self.class_flows[c] > 0 {
+                    self.class_bytes[c] += self.class_weight[c] * dv;
+                }
+            }
+            if !self.heap.is_empty() {
+                self.vclock += dv;
+                self.retire_due();
+            }
+        }
+        let mut capped_done = false;
+        for k in 0..self.capped.len() {
+            let f = self.capped[k];
+            if f.rate == 0.0 {
                 continue;
             }
-            let rem = self.remaining[i];
-            let moved = (rate * dt).min(rem);
-            self.class_bytes[self.class[i] as usize] += moved;
-            if rem.is_finite() {
-                let rem = rem - moved;
-                self.remaining[i] = rem;
+            let moved = (f.rate * dt).min(f.remaining);
+            self.class_bytes[self.class[f.slot as usize] as usize] += moved;
+            if f.remaining.is_finite() {
+                let rem = f.remaining - moved;
+                self.capped[k].remaining = rem;
                 if rem <= EPS_BYTES {
-                    self.live[i] = false;
-                    retired = true;
-                    self.active -= 1;
-                    self.capped_live -= self.cap[i].is_finite() as usize;
-                    self.weight_sum -= self.weight[i];
-                    self.completed.push(FlowEnd { token: self.token[i] });
-                    self.free.push(i as u32);
+                    self.retired.push(f.slot);
+                    capped_done = true;
                 }
             }
         }
-        if retired {
-            let live = &self.live;
-            self.live_idx.retain(|&s| live[s as usize]);
-            if self.order_valid {
-                self.order.retain(|&s| live[s as usize]);
-            }
-            if self.capped_live == 0 {
-                self.drop_order();
-            }
-            // `recompute` refreshes the wake cache from the new rates.
-            self.recompute();
-        } else {
-            // Rates are unchanged but every remaining byte count moved:
-            // completion instants shift by rounding, so the memo must be
-            // recomputed on the next query.
-            self.wake_cache.set(None);
+        if capped_done {
+            self.capped.retain(|f| f.remaining > EPS_BYTES);
         }
+        if !self.retired.is_empty() {
+            self.retire();
+            self.recompute();
+        }
+    }
+
+    /// Pops every heap flow within `EPS_BYTES` of its tag into `retired`.
+    /// A flow is done once `(tag − V) × weight ≤ EPS_BYTES`; scanning tags
+    /// in heap order until `(tag − V) × heap_min_weight` exceeds the bound
+    /// covers the loosest per-flow threshold, and candidates inside that
+    /// window that are not yet done go back on the heap.
+    fn retire_due(&mut self) {
+        while let Some(&top) = self.heap.first() {
+            let i = top as usize;
+            if (self.tag[i] - self.vclock) * self.heap_min_weight > EPS_BYTES {
+                break;
+            }
+            self.heap_remove(top);
+            if (self.tag[i] - self.vclock) * self.weight[i] <= EPS_BYTES {
+                self.retired.push(top);
+            } else {
+                self.deferred.push(top);
+            }
+        }
+        while let Some(slot) = self.deferred.pop() {
+            self.heap_push(slot);
+        }
+    }
+
+    /// Reports the flows collected in `retired`, in ascending slot order,
+    /// and frees their slots. Uncapped flows give back their weight and
+    /// the bytes they were credited past their tag.
+    fn retire(&mut self) {
+        self.retired.sort_unstable();
+        for k in 0..self.retired.len() {
+            let slot = self.retired[k];
+            let i = slot as usize;
+            if !self.cap[i].is_finite() {
+                self.release_weight(slot);
+                let overshoot = (self.vclock - self.tag[i]) * self.weight[i];
+                if overshoot > 0.0 {
+                    self.class_bytes[self.class[i] as usize] -= overshoot;
+                }
+            }
+            self.live[i] = false;
+            self.active -= 1;
+            self.completed.push(FlowEnd { token: self.token[i] });
+            self.free.push(slot);
+        }
+        self.retired.clear();
     }
 
     /// Starts a flow of `bytes` (may be `f64::INFINITY` for a persistent
@@ -477,40 +606,37 @@ impl FluidResource {
         );
         assert!(spec.class < 8, "accounting class out of range: {}", spec.class);
         self.sync(now);
-        let id = match self.free.pop() {
+        let slot = match self.free.pop() {
             Some(slot) => {
                 let i = slot as usize;
-                self.rate[i] = 0.0;
-                self.remaining[i] = bytes;
                 self.weight[i] = spec.weight;
                 self.cap[i] = spec.rate_cap;
                 self.class[i] = spec.class;
                 self.token[i] = token;
-                self.live[i] = true;
-                FlowId(slot)
+                slot
             }
             None => {
-                self.rate.push(0.0);
-                self.remaining.push(bytes);
                 self.weight.push(spec.weight);
                 self.cap.push(spec.rate_cap);
                 self.class.push(spec.class);
                 self.token.push(token);
-                self.live.push(true);
-                FlowId((self.rate.len() - 1) as u32)
+                self.live.push(false);
+                self.tag.push(0.0);
+                self.heap_pos.push(NOT_IN_HEAP);
+                (self.weight.len() - 1) as u32
             }
         };
         // A zero-byte flow completes immediately without affecting rates.
         if bytes <= EPS_BYTES {
-            self.live[id.0 as usize] = false;
             self.completed.push(FlowEnd { token });
-            self.free.push(id.0);
-            return id;
+            self.free.push(slot);
+            return FlowId(slot);
         }
+        self.live[slot as usize] = true;
         self.active += 1;
-        self.index_insert(id.0);
+        self.attach(slot, bytes);
         self.recompute();
-        id
+        FlowId(slot)
     }
 
     /// Ends a flow early (used for persistent background flows). Any
@@ -523,9 +649,9 @@ impl FluidResource {
         self.sync(now);
         let i = id.0 as usize;
         assert!(self.live[i], "{}: ending non-live flow {id:?}", self.name);
+        self.detach(id.0);
         self.live[i] = false;
         self.active -= 1;
-        self.index_remove(id.0);
         self.free.push(id.0);
         self.recompute();
     }
@@ -544,23 +670,11 @@ impl FluidResource {
         self.sync(now);
         let i = id.0 as usize;
         assert!(self.live[i], "{}: capping non-live flow {id:?}", self.name);
-        // The sort key changes: pull the slot out under its old key and
-        // re-insert it under the new one.
-        let was_finite = self.cap[i].is_finite();
-        if self.order_valid {
-            let pos = self.order_pos(id.0);
-            debug_assert_eq!(self.order.get(pos).copied(), Some(id.0));
-            self.order.remove(pos);
-        }
+        // The flow may change sides: pull it out under its old cap and
+        // re-place it, bytes intact, under the new one.
+        let remaining = self.detach(id.0);
         self.cap[i] = cap;
-        self.capped_live -= was_finite as usize;
-        self.capped_live += cap.is_finite() as usize;
-        if self.capped_live == 0 {
-            self.drop_order();
-        } else if self.order_valid {
-            let pos = self.order_pos(id.0);
-            self.order.insert(pos, id.0);
-        }
+        self.attach(id.0, remaining);
         self.recompute();
     }
 
@@ -576,91 +690,47 @@ impl FluidResource {
         out.append(&mut self.completed);
     }
 
-    /// The instant of the next flow completion under current rates, if any.
-    ///
-    /// Memoized: O(1) until the next sync or rate change.
+    /// The instant of the next flow completion under current rates, if any:
+    /// the heap top's tag distance over the level, or the soonest capped
+    /// flow, ceiled to the next picosecond + 1 ps so the wake lands
+    /// strictly after the completion instant even when the division is
+    /// exactly representable.
     pub fn next_wake(&self) -> Option<Time> {
-        if let Some(cached) = self.wake_cache.get() {
-            return cached;
-        }
-        let mut best: Option<Time> = None;
-        for &s in &self.live_idx {
-            let i = s as usize;
-            if self.rate[i] <= 0.0 || !self.remaining[i].is_finite() {
-                continue;
+        let mut best = f64::INFINITY;
+        if self.level > 0.0 {
+            if let Some(&top) = self.heap.first() {
+                best = (self.tag[top as usize] - self.vclock) / self.level;
             }
-            let at = wake_at(self.last_sync, self.remaining[i], self.rate[i]);
-            best = Some(match best {
-                Some(b) => b.min(at),
-                None => at,
-            });
         }
-        self.wake_cache.set(Some(best));
-        best
+        for f in &self.capped {
+            if f.rate > 0.0 && f.remaining.is_finite() {
+                best = best.min(f.remaining / f.rate);
+            }
+        }
+        best.is_finite().then(|| {
+            self.last_sync
+                .saturating_add(Time::from_secs_ceil(best))
+                .saturating_add(Time::from_ps(1))
+        })
     }
 
-    /// Rebuilds the cached water-filling order from scratch. The total
-    /// order `(key, slot)` reproduces exactly what a stable sort of the
-    /// ascending live slots by key alone would yield.
-    fn rebuild_order(&mut self) {
-        let cap = &self.cap;
-        let weight = &self.weight;
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend_from_slice(&self.live_idx);
-        order.sort_unstable_by(|&a, &b| {
-            let ka = cap[a as usize] / weight[a as usize];
-            let kb = cap[b as usize] / weight[b as usize];
-            match ka.partial_cmp(&kb) {
-                Some(std::cmp::Ordering::Equal) | None => a.cmp(&b),
-                Some(o) => o,
-            }
-        });
-        self.order = order;
-        self.order_valid = true;
-    }
-
-    /// Weighted max-min fair (water-filling) rate allocation.
-    ///
-    /// Flows are visited in ascending `rate_cap / weight` order, so flows
-    /// capped below the fair share are satisfied (and their leftover
-    /// capacity released) in one pass. The order comes from the cached
-    /// `order` index — or straight from `live_idx` when no live flow is
-    /// capped (all keys +∞, so the sorted order *is* ascending slots) —
-    /// and is never sorted here.
+    /// Weighted max-min fair (water-filling) rate allocation over the
+    /// capped side set, in its `(cap / weight, slot)` order: capped flows
+    /// below the fair share are satisfied and their leftover capacity
+    /// released in one pass; what remains, divided by the uncapped weight,
+    /// is the level every uncapped flow moves at. Always bumps the epoch.
     fn recompute(&mut self) {
         self.epoch += 1;
-        if self.active == 0 {
-            self.wake_cache.set(Some(None));
-            return;
+        if self.heap.is_empty() {
+            self.vclock = 0.0;
+            self.heap_min_weight = f64::INFINITY;
         }
-        let use_live = self.capped_live == 0;
-        if !use_live && !self.order_valid {
-            self.rebuild_order();
-        }
-        let order = if use_live {
-            std::mem::take(&mut self.live_idx)
-        } else {
-            std::mem::take(&mut self.order)
-        };
-        // While every live weight is an exact dyadic (see `weight_exact`),
-        // the incrementally maintained `weight_sum` equals the fresh pass
-        // sum bit-for-bit (sums of multiples of 1/16 below 2^40 are exact
-        // in f64 in any order), so the summing pass is skipped.
-        let mut remaining_weight: f64 = if self.weights_exact {
-            self.weight_sum
-        } else {
-            order.iter().map(|&i| self.weight[i as usize]).sum()
-        };
+        let uncapped = self.uncapped_weight();
+        let capped_weight: f64 = self.capped.iter().map(|f| self.weight[f.slot as usize]).sum();
+        let mut remaining_weight = uncapped + capped_weight;
         let mut remaining_cap = self.capacity;
-        // The wake min is folded into the allocation pass, over *seconds*:
-        // each flow's completion instant is `ceil(secs) + 1 ps` from the
-        // same base, and `from_secs_ceil` is monotone, so converting the
-        // f64 min once afterwards yields exactly the min of the converted
-        // values a separate `next_wake` pass would take.
-        let mut best_secs = f64::INFINITY;
-        for &i in &order {
-            let i = i as usize;
+        for k in 0..self.capped.len() {
+            let i = self.capped[k].slot as usize;
             let w = self.weight[i];
             let share = if remaining_weight > 0.0 {
                 remaining_cap * w / remaining_weight
@@ -668,32 +738,11 @@ impl FluidResource {
                 0.0
             };
             let rate = share.min(self.cap[i]);
-            self.rate[i] = rate;
+            self.capped[k].rate = rate;
             remaining_cap = (remaining_cap - rate).max(0.0);
             remaining_weight -= w;
-            let rem = self.remaining[i];
-            if rate > 0.0 && rem.is_finite() {
-                let secs = rem / rate;
-                if secs < best_secs {
-                    best_secs = secs;
-                }
-            }
         }
-        if use_live {
-            self.live_idx = order;
-        } else {
-            self.order = order;
-        }
-        let best = if best_secs.is_finite() {
-            Some(
-                self.last_sync
-                    .saturating_add(Time::from_secs_ceil(best_secs))
-                    .saturating_add(Time::from_ps(1)),
-            )
-        } else {
-            None
-        };
-        self.wake_cache.set(Some(best));
+        self.level = if uncapped > 0.0 { remaining_cap / uncapped } else { 0.0 };
     }
 }
 
@@ -900,7 +949,7 @@ mod tests {
         let mut r = FluidResource::new("link", 1e9);
         r.start_flow(Time::ZERO, 1e9, FlowSpec::new(), 1);
         let w = r.next_wake();
-        assert_eq!(r.next_wake(), w, "repeated queries hit the cache");
+        assert_eq!(r.next_wake(), w, "repeated queries agree");
         // A rate change must not serve the stale instant.
         r.start_flow(Time::ZERO, 1e9, FlowSpec::new(), 2);
         let w2 = r.next_wake().unwrap();
@@ -934,11 +983,10 @@ mod tests {
         assert_eq!(r.flow_rate(ids[7]), r.flow_rate(n1));
     }
 
-    /// The pre-optimization solver, kept verbatim as a differential
-    /// oracle: full-table scans everywhere and a fresh collect + stable
-    /// sort on every recompute. The optimized implementation must agree
-    /// with it on rates (≤ 1e-9 relative), and *exactly* on completion
-    /// order and wake instants.
+    /// The naive solver, the single retained oracle: per-flow byte
+    /// counters, full-table scans everywhere and a fresh collect + stable
+    /// sort on every recompute. See `differential` for how closely the
+    /// virtual-time solver must agree with it.
     mod naive {
         use super::super::{FlowEnd, FlowSpec, EPS_BYTES};
         use crate::time::Time;
@@ -1150,9 +1198,17 @@ mod tests {
         }
     }
 
+    /// Differential suites: the virtual-time solver against the naive
+    /// oracle, in lockstep. The two differ only in floating-point
+    /// summation order, so they must agree on every observable up to
+    /// rounding: rates and per-class bytes within 1e-9 relative, wake
+    /// instants within 1 ps, and — advancing both to the later of their
+    /// two wakes — identical completions (same flows, same slot order),
+    /// epochs and slot allocation.
     mod differential {
         use super::naive::NaiveResource;
         use super::*;
+        use crate::rng::Rng;
         use testkit::gen::{self, Gen};
         use testkit::one_of;
 
@@ -1195,19 +1251,120 @@ mod tests {
             (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
         }
 
-        /// Runs one script against both solvers, comparing rates,
-        /// completions, wake instants, epochs and per-class byte meters
-        /// after every step. Slot allocation is identical on both sides
-        /// (same free-list discipline), so slots compare directly.
+        fn wakes_close(a: Option<Time>, b: Option<Time>) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => a.max(b) - a.min(b) <= Time::from_ps(1),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+
+        /// Both solvers, driven by the same calls at the same instants.
+        /// Slot allocation is identical on both sides (same free-list
+        /// discipline), so a naive slot is also the fast solver's
+        /// `FlowId`.
+        struct Lockstep {
+            fast: FluidResource,
+            slow: NaiveResource,
+            now: Time,
+            /// Slots ever allocated: live ones are compared flow by flow.
+            slots: u32,
+        }
+
+        impl Lockstep {
+            fn new(capacity: f64) -> Self {
+                Lockstep {
+                    fast: FluidResource::new("diff", capacity),
+                    slow: NaiveResource::new(capacity),
+                    now: Time::ZERO,
+                    slots: 0,
+                }
+            }
+
+            fn start(&mut self, bytes: f64, spec: FlowSpec, token: u64) -> u32 {
+                let a = self.fast.start_flow(self.now, bytes, spec, token);
+                let b = self.slow.start_flow(self.now, bytes, spec, token);
+                assert_eq!(a.0, b, "slot allocation diverged");
+                self.slots = self.slots.max(b + 1);
+                b
+            }
+
+            fn end(&mut self, slot: u32) {
+                self.fast.end_flow(self.now, FlowId(slot));
+                self.slow.end_flow(self.now, slot);
+            }
+
+            fn set_cap(&mut self, slot: u32, cap: f64) {
+                self.fast.set_rate_cap(self.now, FlowId(slot), cap);
+                self.slow.set_rate_cap(self.now, slot, cap);
+            }
+
+            fn set_capacity(&mut self, frac: f64) {
+                self.fast.set_capacity_frac(self.now, frac);
+                self.slow.set_capacity_frac(self.now, frac);
+            }
+
+            fn advance(&mut self, dt: Time) {
+                self.now += dt;
+                self.fast.sync(self.now);
+                self.slow.sync(self.now);
+            }
+
+            /// Advances both solvers to the later of their next wakes
+            /// (which must agree within 1 ps). False if neither has one.
+            fn advance_to_wake(&mut self) -> bool {
+                let (a, b) = (self.fast.next_wake(), self.slow.next_wake());
+                assert!(wakes_close(a, b), "wake instants diverged: {a:?} vs {b:?}");
+                let Some(at) = a.max(b) else { return false };
+                self.now = at;
+                self.fast.sync(at);
+                self.slow.sync(at);
+                true
+            }
+
+            /// Compares every observable and returns the completions
+            /// drained since the last check (identical on both sides).
+            fn check(&mut self) -> Vec<FlowEnd> {
+                let (fast, slow) = (&mut self.fast, &mut self.slow);
+                assert_eq!(fast.epoch(), slow.epoch(), "epoch counters diverged");
+                assert_eq!(fast.active_flows(), slow.active_flows());
+                let done = fast.take_completed();
+                assert_eq!(done, slow.take_completed(), "completions diverged");
+                let (a, b) = (fast.next_wake(), slow.next_wake());
+                assert!(wakes_close(a, b), "next_wake diverged: {a:?} vs {b:?}");
+                assert!(
+                    close(fast.allocated_rate(), slow.allocated_rate()),
+                    "allocated rate diverged: {} vs {}",
+                    fast.allocated_rate(),
+                    slow.allocated_rate()
+                );
+                for slot in 0..self.slots {
+                    if slow.is_live(slot) {
+                        let a = fast.flow_rate(FlowId(slot));
+                        let b = slow.flow_rate(slot);
+                        assert!(close(a, b), "flow {slot} rate diverged: {a} vs {b}");
+                    }
+                }
+                for class in 0..8 {
+                    let (a, b) = (fast.bytes_for_class(class), slow.bytes_for_class(class));
+                    assert!(close(a, b), "class {class} bytes diverged: {a} vs {b}");
+                }
+                done
+            }
+
+            /// A live slot picked by `which`, if any flow is live.
+            fn live_slot(&self, which: u64) -> Option<u32> {
+                let live: Vec<u32> = (0..self.slots).filter(|&s| self.slow.is_live(s)).collect();
+                (!live.is_empty()).then(|| live[(which % live.len() as u64) as usize])
+            }
+        }
+
+        /// Runs one random script against both solvers, checking after
+        /// every step.
         fn run_script(ops: &[Op]) {
-            let capacity = 10e9;
-            let mut fast = FluidResource::new("diff", capacity);
-            let mut slow = NaiveResource::new(capacity);
-            let mut now = Time::ZERO;
+            let mut pair = Lockstep::new(10e9);
             let mut token = 0u64;
             // Slots ever started, for End/SetCap to pick targets from.
-            // Both solvers use the same free-list discipline, so a naive
-            // slot is also the fast solver's `FlowId`.
             let mut slots: Vec<u32> = Vec::new();
             for op in ops {
                 match *op {
@@ -1217,10 +1374,7 @@ mod tests {
                             spec = spec.rate_cap(cap as f64 * 1.5e9);
                         }
                         let bytes = if persistent { f64::INFINITY } else { bytes as f64 };
-                        let a = fast.start_flow(now, bytes, spec, token);
-                        let b = slow.start_flow(now, bytes, spec, token);
-                        assert_eq!(a.0, b, "slot allocation diverged");
-                        slots.push(b);
+                        slots.push(pair.start(bytes, spec, token));
                         token += 1;
                     }
                     Op::End { which } => {
@@ -1228,77 +1382,34 @@ mod tests {
                             continue;
                         }
                         let slot = slots[which as usize % slots.len()];
-                        if !slow.is_live(slot) {
-                            continue;
+                        if pair.slow.is_live(slot) {
+                            pair.end(slot);
                         }
-                        fast.end_flow(now, FlowId(slot));
-                        slow.end_flow(now, slot);
                     }
                     Op::SetCap { which, cap } => {
                         if slots.is_empty() {
                             continue;
                         }
                         let slot = slots[which as usize % slots.len()];
-                        if !slow.is_live(slot) {
-                            continue;
+                        if pair.slow.is_live(slot) {
+                            let cap = if cap == 0 { f64::INFINITY } else { cap as f64 * 1.5e9 };
+                            pair.set_cap(slot, cap);
                         }
-                        let cap = if cap == 0 { f64::INFINITY } else { cap as f64 * 1.5e9 };
-                        fast.set_rate_cap(now, FlowId(slot), cap);
-                        slow.set_rate_cap(now, slot, cap);
                     }
-                    Op::SetCapacity { pct } => {
-                        fast.set_capacity_frac(now, pct as f64 / 100.0);
-                        slow.set_capacity_frac(now, pct as f64 / 100.0);
-                    }
-                    Op::Advance { ps } => {
-                        now += Time::from_ps(ps as u64);
-                        fast.sync(now);
-                        slow.sync(now);
-                    }
+                    Op::SetCapacity { pct } => pair.set_capacity(pct as f64 / 100.0),
+                    Op::Advance { ps } => pair.advance(Time::from_ps(ps as u64)),
                     Op::AdvanceToWake => {
-                        let w = fast.next_wake();
-                        assert_eq!(w, slow.next_wake(), "wake instants diverged");
-                        if let Some(at) = w {
-                            now = at;
-                            fast.sync(now);
-                            slow.sync(now);
-                        }
+                        pair.advance_to_wake();
                     }
                 }
-                assert_eq!(fast.epoch(), slow.epoch(), "epoch counters diverged");
-                assert_eq!(fast.active_flows(), slow.active_flows());
-                assert_eq!(
-                    fast.take_completed(),
-                    slow.take_completed(),
-                    "completion order diverged"
-                );
-                assert_eq!(fast.next_wake(), slow.next_wake(), "next_wake diverged");
-                assert!(
-                    close(fast.allocated_rate(), slow.allocated_rate()),
-                    "allocated rate diverged: {} vs {}",
-                    fast.allocated_rate(),
-                    slow.allocated_rate()
-                );
-                for &slot in &slots {
-                    if slow.is_live(slot) {
-                        let a = fast.flow_rate(FlowId(slot));
-                        let b = slow.flow_rate(slot);
-                        assert!(close(a, b), "flow {slot} rate diverged: {a} vs {b}");
-                    }
-                }
-                for class in 0..8 {
-                    assert!(
-                        close(fast.bytes_for_class(class), slow.bytes_for_class(class)),
-                        "class {class} bytes diverged"
-                    );
-                }
+                pair.check();
             }
         }
 
         testkit::prop! {
             cases = 96;
 
-            /// The incremental solver and the naive oracle agree on every
+            /// The virtual-time solver and the naive oracle agree on every
             /// observable for arbitrary flow scripts.
             fn incremental_solver_matches_naive_oracle(ops in gen::vecs(op_gen(), 1..80)) {
                 run_script(&ops);
@@ -1307,9 +1418,9 @@ mod tests {
 
         #[test]
         fn capped_uncapped_transitions_match_oracle() {
-            // A directed script that walks capped_live through
-            // 0 → n → 0 → n while flows retire mid-stream, covering the
-            // order-cache drop/rebuild edges the random scripts may miss.
+            // A directed script that moves flows between the capped side
+            // set and the tag heap (and back) while flows retire
+            // mid-stream, and drains the heap so the clock re-bases.
             let ops = vec![
                 Op::Start { bytes: 0, weight: 1, cap: 0, persistent: true },
                 Op::Start { bytes: 50_000_000, weight: 2, cap: 0, persistent: false },
@@ -1327,6 +1438,89 @@ mod tests {
                 Op::AdvanceToWake,
             ];
             run_script(&ops);
+        }
+
+        /// A block-sized transfer: 4 KiB scaled by `0.25 + Exp(1)`, whole
+        /// bytes, so sizes are staggered and the odd tie still happens.
+        fn block(rng: &mut Rng) -> f64 {
+            (4096.0 * (0.25 + rng.gen_exp(1.0))).round()
+        }
+
+        #[test]
+        fn dense_refill_matches_oracle() {
+            // dense_write's port shape: 480 weight-1 flows of staggered
+            // sizes on a 100 GbE port, every completion refilled at once,
+            // for 10k wake/refill cycles.
+            let mut pair = Lockstep::new(12.5e9);
+            let mut rng = Rng::new(0xD15E);
+            let mut token = 0u64;
+            while token < 480 {
+                pair.start(block(&mut rng), FlowSpec::new(), token);
+                token += 1;
+            }
+            pair.check();
+            for _ in 0..10_000 {
+                assert!(pair.advance_to_wake(), "a dense port always has a next wake");
+                let done = pair.check();
+                assert!(!done.is_empty(), "a wake retires at least one flow");
+                for _ in &done {
+                    pair.start(block(&mut rng), FlowSpec::new(), token);
+                    token += 1;
+                }
+                pair.check();
+            }
+            assert_eq!(pair.fast.active_flows(), 480);
+        }
+
+        #[test]
+        fn mixed_weight_capped_persistent_matches_oracle() {
+            // Host memory under the MLC injector: a heavy, rate-capped
+            // persistent flow, an uncapped persistent one, and short I/O
+            // bursts of mixed weights and classes (a few capped), with the
+            // injector's cap retuned, capacity degraded and bursts
+            // abandoned along the way.
+            let mut pair = Lockstep::new(96e9);
+            let mut rng = Rng::new(0x3C7);
+            let mlc = pair.start(
+                f64::INFINITY,
+                FlowSpec::new().weight(72.0).rate_cap(30e9).class(2),
+                u64::MAX,
+            );
+            pair.start(f64::INFINITY, FlowSpec::new().weight(1.5).class(2), u64::MAX - 1);
+            let mut token = 0u64;
+            let burst = |pair: &mut Lockstep, rng: &mut Rng, token: &mut u64| {
+                let weight = [1.0, 1.5, 2.0, 3.0][rng.gen_range(4) as usize];
+                let mut spec = FlowSpec::new().weight(weight).class(rng.gen_range(2) as u8);
+                if rng.gen_bool(0.1) {
+                    spec = spec.rate_cap(2e9);
+                }
+                pair.start(block(rng) * 16.0, spec, *token);
+                *token += 1;
+            };
+            for _ in 0..64 {
+                burst(&mut pair, &mut rng, &mut token);
+            }
+            pair.check();
+            let caps = [30e9, 5e9, f64::INFINITY, 60e9];
+            for cycle in 0..3_000u32 {
+                assert!(pair.advance_to_wake(), "finite bursts always pend");
+                for _ in pair.check() {
+                    burst(&mut pair, &mut rng, &mut token);
+                }
+                if cycle % 50 == 0 {
+                    pair.set_cap(mlc, caps[(cycle / 50) as usize % caps.len()]);
+                }
+                if cycle % 97 == 0 {
+                    pair.set_capacity(if cycle % 194 == 0 { 0.5 } else { 1.0 });
+                }
+                if cycle % 211 == 0 {
+                    if let Some(slot) = pair.live_slot(rng.next_u64()).filter(|&s| s > 1) {
+                        pair.end(slot);
+                        burst(&mut pair, &mut rng, &mut token);
+                    }
+                }
+                pair.check();
+            }
         }
     }
 }

@@ -1,16 +1,19 @@
 //! Golden determinism suite: the simulated *schedule* is frozen.
 //!
-//! The hot-path work in `simkit::fluid` and the wakeup-coalescing driver
-//! layer are pure performance changes — they must not move a single
-//! simulated outcome. This suite pins that contract to bytes on disk:
-//! for each pinned seed (101/202/303) the metrics JSON of a chaos run, and
+//! For each pinned seed (101/202/303) the metrics JSON of a chaos run, and
 //! for seed 303 the Chrome trace export of a traced run, must equal the
-//! fixtures under `tests/golden/` **byte for byte**. The fixtures were
-//! generated with the pre-optimization naive solver; any future change
-//! that shifts a rate, a completion instant, an event ordering, or a
+//! fixtures under `tests/golden/` **byte for byte**. Any change that
+//! shifts a rate, a completion instant, an event ordering, or a
 //! floating-point accumulation order fails here first.
 //!
-//! Regenerate (only when a *semantic* change is intended and understood):
+//! The fixtures come from the virtual-time fluid solver. They were
+//! regenerated once when it replaced the per-flow solver, because that
+//! change reorders floating-point sums; EXPERIMENTS.md ("Simulator
+//! performance") holds the before/after field table. Pure speed changes
+//! must leave them byte-identical.
+//!
+//! Regenerate (only when a *semantic* change, or a deliberate change of
+//! floating-point summation order, is intended and understood):
 //!
 //! ```text
 //! SMARTDS_GOLDEN_WRITE=1 cargo test -q --offline -p system-tests --test golden

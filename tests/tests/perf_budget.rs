@@ -145,7 +145,7 @@ fn events_budget_sweep_seed_101() {
     let mut cfg = quick(RunConfig::saturating(Design::SmartDs { ports: 2 }));
     cfg.outstanding = 512;
     cfg.seed = 101;
-    // Recorded: payload=711_073 (54.4/req), sync=105_218 (8.0/req).
+    // Recorded: payload=711_502 (54.2/req), sync=105_332 (8.0/req).
     assert_budget(
         "sweep/101",
         &cfg,
@@ -176,7 +176,7 @@ fn events_budget_chaos_seed_202() {
     let cfg = cfg
         .with_fault_plan(FaultPlan::chaos(202, &spec))
         .with_request_timeout(Time::from_ms(1.0));
-    // Recorded: payload=182_714 (72.4/req), sync=28_422 (11.3/req).
+    // Recorded: payload=182_897 (72.2/req), sync=28_429 (11.2/req).
     assert_budget(
         "chaos/202",
         &cfg,
@@ -208,7 +208,7 @@ fn allocation_budget_sweep_seed_101() {
         "alloc/101: allocs={allocs} events={} allocs/event={per_event:.3}",
         stats.events
     );
-    // Recorded: allocs=328_789 (0.93/event) — the engine itself (wheel,
+    // Recorded: allocs=330_247 (0.93/event) — the engine itself (wheel,
     // mailboxes, windows) is allocation-free in steady state; what
     // remains is model work that owns real buffers (an LZ4 output and a
     // stored-block copy per replica, request bookkeeping). The ceiling
@@ -270,6 +270,63 @@ fn allocation_budget_engine_steady_state() {
     );
 }
 
+/// The fluid solver in steady state: a 512-flow port driven through
+/// dense_write's pattern (every completion refilled at once) plus one
+/// early abort per wake must not allocate at all once its flow table, tag
+/// heap and scratch buffers have grown to working size.
+#[test]
+fn allocation_budget_fluid_soak() {
+    use simkit::{FlowEnd, FlowId, FlowSpec, FluidResource, Rng};
+
+    const LANES: u64 = 512;
+    fn block(rng: &mut Rng) -> f64 {
+        4096.0 * (0.25 + rng.gen_exp(1.0))
+    }
+    /// One wake: retire, refill every finished lane, abort and restart one
+    /// random lane. Returns the completions it drained.
+    fn cycle(
+        res: &mut FluidResource,
+        rng: &mut Rng,
+        lanes: &mut [FlowId],
+        done: &mut Vec<FlowEnd>,
+    ) -> usize {
+        let at = res.next_wake().expect("finite flows always pend");
+        res.sync(at);
+        res.take_completed_into(done);
+        let n = done.len();
+        for end in done.drain(..) {
+            lanes[end.token as usize] = res.start_flow(at, block(rng), FlowSpec::new(), end.token);
+        }
+        let lane = rng.gen_range(LANES);
+        res.end_flow(at, lanes[lane as usize]);
+        lanes[lane as usize] = res.start_flow(at, block(rng), FlowSpec::new(), lane);
+        n
+    }
+
+    let mut res = FluidResource::new("soak", 12.5e9);
+    let mut rng = Rng::new(0x50AC);
+    let mut lanes: Vec<FlowId> = (0..LANES)
+        .map(|t| res.start_flow(Time::ZERO, block(&mut rng), FlowSpec::new(), t))
+        .collect();
+    let mut done: Vec<FlowEnd> = Vec::new();
+    // Warm-up: grow the completion buffers to their working size.
+    for _ in 0..2_000 {
+        cycle(&mut res, &mut rng, &mut lanes, &mut done);
+    }
+    let (allocs, completions) = count_allocs(|| {
+        (0..20_000)
+            .map(|_| cycle(&mut res, &mut rng, &mut lanes, &mut done))
+            .sum::<usize>()
+    });
+    println!("alloc/fluid: allocs={allocs} completions={completions}");
+    assert!(completions >= 20_000, "soak retired only {completions} flows");
+    assert_eq!(res.active_flows(), LANES as usize);
+    assert_eq!(
+        allocs, 0,
+        "the fluid solver allocated {allocs} times across 20k steady-state wakes"
+    );
+}
+
 /// Breakdown shape: every request traced (span pipeline on each event).
 #[test]
 fn events_budget_traced_seed_303() {
@@ -279,7 +336,7 @@ fn events_budget_traced_seed_303() {
         sample_one_in: 1,
         capacity: 1 << 17,
     });
-    // Recorded: payload=307_911 (55.0/req), sync=47_138 (8.4/req).
+    // Recorded: payload=308_862 (54.9/req), sync=47_288 (8.4/req).
     assert_budget(
         "traced/303",
         &cfg,
