@@ -10,6 +10,11 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 
+# The repo benchmark (perfbench/) is its own workspace, so the build above
+# never compiles it: build it explicitly, so an API change that breaks the
+# benchmark fails here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Static analysis first: simlint (crates/lintkit) enforces the
 # determinism, zero-dependency, and shard-safety invariants; exit 1 on any
 # violation. The second invocation smoke-tests the machine-readable output
@@ -76,3 +81,10 @@ cargo run -q -p smartds-bench --release --offline --bin experiments -- perf --qu
 # Hosts and profiles differ, so this is a prompt to investigate, not a
 # gate; the deterministic events/allocation budgets above are the gates.
 cargo run -q -p smartds-bench --release --offline --bin experiments -- perf-diff
+
+# Benchmark correctness smoke: one short repetition of every perfbench
+# workload with tracing off. perfbench exits non-zero when any of its
+# determinism, stored-data audit or thread-match checks fails; the
+# timings it prints are report-only here.
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 7 --seconds 1 --trace 0

@@ -420,8 +420,8 @@ mod tests {
         let mut cfg = windows(Profile::Quick, RunConfig::saturating(Design::SmartDs { ports: 1 }));
         cfg.outstanding = 64;
         cfg.seed = 101;
-        let (_, _, a) = cluster::run_counted(&cfg, |_| {});
-        let (_, _, b) = cluster::run_counted(&cfg, |_| {});
+        let a = cluster::run_counted_stats(&cfg, |_| {}, None).2.events;
+        let b = cluster::run_counted_stats(&cfg, |_| {}, None).2.events;
         assert_eq!(a, b, "same config, same event count");
         assert!(a > 10_000, "a saturating run executes real work: {a}");
     }

@@ -22,7 +22,7 @@ pub fn run(profile: Profile) -> Vec<RunReport> {
     .map(|d| profile.apply(RunConfig::saturating(d)))
     .collect();
     let reports = run_parallel(configs, |cfg| {
-        cluster::run_with(cfg, |c| c.set_read_fraction(1.0))
+        cluster::run_counted_stats(cfg, |c| c.set_read_fraction(1.0), None).0
     });
     println!("Extension: read-only workload (decompression direction)");
     println!(

@@ -11,7 +11,7 @@
 //! post-warm-up measurement window.
 
 use crate::admission::{Admission, Verdict};
-use crate::design::{Design, RunConfig};
+use crate::design::{Design, Driver, RunConfig};
 use crate::fabric::{res_route, Fabric, FluidKey};
 use crate::loadgen::LoadGen;
 use crate::metrics::{Metrics, RunReport, ScaleStats};
@@ -74,11 +74,11 @@ pub enum Ev {
     SvcCpuDone(u64),
     /// Dedicated service engine `i` finished a block (token).
     SvcEngDone(u8, u64),
-    /// A storage RPC arrived at its server (after wire propagation in the
-    /// sequential engine, or through the cross-shard mailbox when sharded).
+    /// A storage RPC arrived at its server shard (through the cross-shard
+    /// mailbox, after wire propagation).
     StoreArrive(StoreMsg),
-    /// Storage server `i`'s disk finished the I/O for token `tok`.
-    StoreDiskDone(u32, u64),
+    /// A store shard's disk finished the I/O for token `tok`.
+    StoreDiskDone(u64),
     /// A storage RPC's ack arrived back at the middle-tier hub.
     StoreAck(AckMsg),
     /// Barrier operation: scrub restarted server `i` against all shards.
@@ -91,8 +91,6 @@ pub enum Ev {
     Issue(u32),
     /// Open-loop Poisson arrival.
     Arrival,
-    /// Fail or recover a storage server (fail-over injection).
-    ServerAlive(u32, bool),
     /// A scheduled `faultkit` fault fires (crash, stall, link degrade…).
     Fault(FaultKind),
     /// Per-request timer expired for request slot `key` at generation
@@ -103,9 +101,6 @@ pub enum Ev {
     /// Rack-fabric fluid wakeup (link slab index, epoch at arming time,
     /// coalescer serial identifying the armed sentinel).
     TopoWake(u16, u64, u64),
-    /// A rack-fabric link's capacity is scaled to the given fraction of
-    /// nominal (0.0 = killed, 1.0 = restored).
-    TopoFault(u16, f64),
     /// Open-loop tenant arrival from the seeded load generator
     /// `(tenant rank, traffic class)`.
     TenantArrival(u64, u8),
@@ -323,18 +318,12 @@ pub struct Cluster {
     pub cpu: CpuPool,
     /// Hardware compression engines (per port for SmartDS).
     pub engines: Vec<CompressEngine>,
-    disks: Vec<DiskModel>,
-    /// Storage servers holding the replicated chunks.
+    /// Storage servers holding the replicated chunks. They live in the
+    /// store shards while the run executes; read them after
+    /// [`run_counted_stats`] returns.
     pub servers: Vec<StorageServer>,
-    /// Per-server in-flight storage RPCs (arrival → disk completion), used
-    /// only when the storage side runs inside this world (sequential mode).
-    store_pending: Vec<BTreeMap<u64, StoreMsg>>,
-    /// True when the storage side lives in separate shards: storage RPCs
-    /// leave through the cross-shard mailbox and server/disk state is not
-    /// held here.
-    remote: bool,
-    /// Number of storage servers in the cluster (valid in both modes —
-    /// `servers.len()` is zero while sharded).
+    /// Number of storage servers in the cluster (`servers.len()` is zero
+    /// while the run executes).
     num_servers: usize,
     selector: ReplicaSelector,
     workload: Workload,
@@ -388,9 +377,11 @@ pub struct Cluster {
     pub dropped: u64,
     /// Rack-scale fabric links (present iff `cfg.topology` is set).
     topo: Option<TopoNet>,
-    /// Seeded open-loop tenant load generator (present iff `cfg.load`).
+    /// Seeded open-loop tenant load generator (present iff the driver is
+    /// [`Driver::Tenants`]).
     loadgen: Option<LoadGen>,
-    /// SmartNIC-side admission control (present iff `cfg.admission`).
+    /// SmartNIC-side admission control (present iff the tenant driver
+    /// carries an admission spec).
     admission: Option<Admission>,
     /// Inline data services — dedup, encryption, hot-block cache — with
     /// their dedicated compute stations (present iff `cfg.services`).
@@ -466,21 +457,6 @@ impl Cluster {
             cfg.replication <= num_servers,
             "replication factor exceeds the server count"
         );
-        assert!(
-            cfg.load.is_none() || cfg.open_loop_gbps.is_none(),
-            "the tenant load generator and open_loop_gbps are mutually exclusive drivers"
-        );
-        assert!(
-            cfg.admission.is_none() || cfg.load.is_some(),
-            "admission control requires the open-loop tenant load generator"
-        );
-        assert!(
-            cfg.topo_faults.is_empty() || cfg.topology.is_some(),
-            "topo faults require a topology"
-        );
-        let disks = (0..num_servers)
-            .map(|_| DiskModel::nvme("storage-disk"))
-            .collect();
         let servers = (0..num_servers)
             .map(|i| StorageServer::new(ServerId(i as u32), COMPACTION_THRESHOLD))
             .collect();
@@ -503,14 +479,18 @@ impl Cluster {
             Some(tc) => Tracer::new(cfg.seed, tc),
             None => Tracer::off(),
         };
+        let (loadgen, admission) = match &cfg.driver {
+            Driver::Tenants { load, admission } => (
+                Some(LoadGen::new(load.clone(), cfg.seed)),
+                admission.map(Admission::new),
+            ),
+            Driver::Closed | Driver::Poisson { .. } => (None, None),
+        };
         Cluster {
             fabric,
             cpu,
             engines,
-            disks,
             servers,
-            store_pending: (0..num_servers).map(|_| BTreeMap::new()).collect(),
-            remote: false,
             num_servers,
             selector,
             workload,
@@ -543,8 +523,8 @@ impl Cluster {
             in_flight: 0,
             dropped: 0,
             topo: cfg.topology.as_ref().map(TopoNet::new),
-            loadgen: cfg.load.clone().map(|s| LoadGen::new(s, cfg.seed)),
-            admission: cfg.admission.map(Admission::new),
+            loadgen,
+            admission,
             services: cfg.services.as_ref().map(Services::new),
             // The hub is shard 0 by construction (`split_for_shards`).
             tag: simkit::ShardTag::new(0),
@@ -574,25 +554,6 @@ impl Cluster {
             .map(|r| TokenBucket::new(r, burst))
             .collect();
         self.tenant_done = vec![0; self.tenant_buckets.len()];
-    }
-
-    /// The snapshot service: freezes one hosted chunk per tick, rotating
-    /// round-robin across servers (§2.2.3 lists snapshotting among the
-    /// maintenance services every middle-tier server runs).
-    fn take_snapshot(&mut self, now: Time) {
-        // Reads server chunk state the hub does not own while sharded:
-        // legal only sequentially (plain `Simulation`) or at a barrier.
-        simkit::sanitizer::assert_barrier("snapshot service (reads every server's chunks)");
-        let n = self.servers.len();
-        for off in 0..n {
-            let idx = (self.snapshot_cursor + off) % n;
-            let srv = &self.servers[idx];
-            if let Some((&key, chunk)) = srv.chunks().next() {
-                self.snapshots.push((now, key, chunk.snapshot()));
-                self.snapshot_cursor = idx + 1;
-                return;
-            }
-        }
     }
 
     /// Fraction of requests issued as reads (default 0; §2.2.3 production
@@ -760,11 +721,7 @@ impl Cluster {
         match payload {
             TopoPayload::Out(msg) => {
                 let d = self.rpc_latency(msg.server);
-                if self.remote {
-                    sched.send(1 + msg.server, d, Ev::StoreArrive(msg));
-                } else {
-                    sched.schedule_in(d, Ev::StoreArrive(msg));
-                }
+                sched.send(1 + msg.server, d, Ev::StoreArrive(msg));
             }
             TopoPayload::In(ack) => self.store_ack(ack, sched),
         }
@@ -1175,19 +1132,16 @@ impl Cluster {
         }
     }
 
-    /// Dispatches a storage RPC: through the cross-shard mailbox when the
-    /// storage side runs as separate shards, or as a local event after the
-    /// same wire-propagation delay sequentially. The delay equals the
-    /// engine's conservative lookahead, so the sharded send is always legal.
+    /// Dispatches a storage RPC to its server's shard through the
+    /// cross-shard mailbox. The flat-wire delay equals the engine's
+    /// conservative lookahead, so the send is always legal.
     fn send_store(&mut self, msg: StoreMsg, sched: &mut Scheduler<Ev>) {
         if self.topo.is_some() {
             // Rack fabric: serialize through the ToR/spine hop sequence
             // first; propagation is charged at delivery.
             self.topo_launch(TopoPayload::Out(msg), sched);
-        } else if self.remote {
-            sched.send(1 + msg.server, STORAGE_LOOKAHEAD, Ev::StoreArrive(msg));
         } else {
-            sched.schedule_in(STORAGE_LOOKAHEAD, Ev::StoreArrive(msg));
+            sched.send(1 + msg.server, STORAGE_LOOKAHEAD, Ev::StoreArrive(msg));
         }
     }
 
@@ -1393,14 +1347,18 @@ impl Cluster {
         self.tracer.span_close(req.root, now);
         self.in_flight -= 1;
         self.admission_release(req.class, sched);
-        // Closed loop: the slot immediately issues its next request.
-        // Open loop (Poisson or tenant generator): arrivals drive issue.
-        if self.cfg.open_loop_gbps.is_none()
-            && self.cfg.load.is_none()
-            && now < self.stop_issuing_at
-        {
-            let think = Time::from_ps(self.workload.think_ps(1.0));
-            sched.schedule_in(think, Ev::Issue(req.slot));
+        self.reissue_closed(req.slot, sched);
+    }
+
+    /// Closed loop: the slot issues its next request after a think time.
+    /// Open loop (Poisson or tenant generator): arrivals drive issue.
+    fn reissue_closed(&mut self, slot: u32, sched: &mut Scheduler<Ev>) {
+        match self.cfg.driver {
+            Driver::Closed if sched.now() < self.stop_issuing_at => {
+                let think = Time::from_ps(self.workload.think_ps(1.0));
+                sched.schedule_in(think, Ev::Issue(slot));
+            }
+            _ => {}
         }
     }
 
@@ -1435,8 +1393,8 @@ impl Cluster {
             return;
         }
         // Schedule the next Poisson arrival first (the process never stops).
-        let Some(gbps) = self.cfg.open_loop_gbps else {
-            unreachable!("Arrival events are only scheduled in open-loop mode");
+        let Driver::Poisson { gbps } = self.cfg.driver else {
+            unreachable!("Arrival events are only scheduled by the Poisson driver");
         };
         let rate = simkit::gbps(gbps);
         let mean_us = hwmodel::consts::BLOCK_SIZE as f64 / rate * 1e6;
@@ -1656,13 +1614,7 @@ impl Cluster {
                 .instant(ticket.trace, ticket.root, StageKind::Abort, "write-failed", 0, now);
             self.tracer.span_close(ticket.root, now);
             self.admission_release(ticket.class, sched);
-            if self.cfg.open_loop_gbps.is_none()
-                && self.cfg.load.is_none()
-                && now < self.stop_issuing_at
-            {
-                let think = Time::from_ps(self.workload.think_ps(1.0));
-                sched.schedule_in(think, Ev::Issue(ticket.slot));
-            }
+            self.reissue_closed(ticket.slot, sched);
             return;
         }
         self.metrics.retries += 1;
@@ -1756,11 +1708,12 @@ impl Cluster {
         }
     }
 
-    /// Applies one scheduled fault at the hub. Out-of-range server ids are
-    /// ignored so chaos plans compose with any cluster size. When the
-    /// storage side runs as separate shards, the hub keeps only placement
-    /// health and tracing; the server/disk effects are applied by the
-    /// target shard, which receives the same fault event at the same time.
+    /// Applies one scheduled fault at the hub: placement health, port and
+    /// fabric-link capacity, and tracing. The server/disk effects of a
+    /// server-targeted fault are applied by the target store shard, which
+    /// receives the same fault event at the same time. Out-of-range server
+    /// ids, and fabric-link faults on a flat-wire run, are ignored so
+    /// fault plans compose with any cluster shape.
     fn apply_fault(&mut self, kind: FaultKind, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         if self.tracer.enabled() {
@@ -1771,38 +1724,17 @@ impl Cluster {
             FaultKind::ServerCrash { server } => {
                 if (server as usize) < self.num_servers {
                     self.selector.set_healthy(ServerId(server), false);
-                    if !self.remote {
-                        self.servers[server as usize].set_alive(false);
-                    }
                 }
             }
             FaultKind::ServerRestart { server } => {
                 if (server as usize) < self.num_servers {
                     self.selector.set_healthy(ServerId(server), true);
-                    if self.remote {
-                        // Scrub needs every shard's chunk store: defer to
-                        // the window barrier, where all shards are in scope.
-                        sched.defer_global(Ev::GlobalScrub(server));
-                    } else {
-                        self.servers[server as usize].set_alive(true);
-                        self.restart_scrub(server as usize, now);
-                    }
+                    // Scrub needs every shard's chunk store: defer to the
+                    // window barrier, where all shards are in scope.
+                    sched.defer_global(Ev::GlobalScrub(server));
                 }
             }
-            FaultKind::ServerSlow { server, factor } => {
-                if !self.remote {
-                    if let Some(disk) = self.disks.get_mut(server as usize) {
-                        disk.set_slow_factor(factor);
-                    }
-                }
-            }
-            FaultKind::ServerNormal { server } => {
-                if !self.remote {
-                    if let Some(disk) = self.disks.get_mut(server as usize) {
-                        disk.set_slow_factor(1.0);
-                    }
-                }
-            }
+            FaultKind::ServerSlow { .. } | FaultKind::ServerNormal { .. } => {}
             FaultKind::LinkDegrade { link, fraction } => {
                 if let Some(fkey) = self.link_key(link) {
                     self.touch(fkey);
@@ -1813,38 +1745,17 @@ impl Cluster {
                     self.pump(sched);
                 }
             }
+            FaultKind::TopoLinkDegrade { link, fraction } => {
+                let i = link as usize;
+                let Some(tn) = self.topo.as_mut().filter(|tn| i < tn.links.len()) else {
+                    return;
+                };
+                tn.links[i].set_capacity_frac(now, fraction.clamp(0.0, 1.0));
+                tn.touched |= 1u64 << i;
+                self.topo_drain(i, sched);
+                self.pump(sched);
+            }
         }
-    }
-
-    /// Post-restart recovery: scrub the returning server against the
-    /// cluster's checksum index, restoring blocks it should hold (written
-    /// while it was down, or rotted) from any live replica.
-    fn restart_scrub(&mut self, i: usize, now: Time) {
-        // Touches every server's chunk store (the returning one plus all
-        // repair donors): cluster-wide state, barrier-or-sequential only.
-        simkit::sanitizer::assert_barrier("restart scrub (cluster-wide repair)");
-        let mut srv = std::mem::replace(
-            &mut self.servers[i],
-            StorageServer::new(ServerId(i as u32), COMPACTION_THRESHOLD),
-        );
-        let peers = &self.servers;
-        let (stats, _findings) = self.scrubber.scrub_with(&mut srv, |chunk, block, want| {
-            peers.iter().find_map(|p| {
-                let good = p.fetch(chunk, block)?;
-                (blockstore::crc32(&good.data) == want).then(|| good.clone())
-            })
-        });
-        self.servers[i] = srv;
-        self.metrics.scrub_repairs += stats.repaired as u64;
-        let maint = self.tracer.maint();
-        self.tracer.instant(
-            maint,
-            SpanId::NULL,
-            StageKind::Scrub,
-            "restart-scrub",
-            stats.repaired as u64,
-            now,
-        );
     }
 
     /// Audits every live server's stored blocks: `(ok, corrupt)` counts,
@@ -1963,30 +1874,6 @@ impl World for Cluster {
                 self.pending.push(tok);
                 self.pump(sched);
             }
-            Ev::StoreArrive(msg) => {
-                // Sequential mode only: the hub hosts the storage side too.
-                let srv = msg.server as usize;
-                let now = sched.now();
-                if let Some(js) =
-                    store_submit(&mut self.disks[srv], &mut self.store_pending[srv], msg, now)
-                {
-                    sched.schedule_at(js.finish_at, Ev::StoreDiskDone(srv as u32, js.token));
-                }
-            }
-            Ev::StoreDiskDone(srv, tok) => {
-                let now = sched.now();
-                if let Some(next) = self.disks[srv as usize].complete(now) {
-                    sched.schedule_at(next.finish_at, Ev::StoreDiskDone(srv, next.token));
-                }
-                if let Some(ack) = store_finish(
-                    &mut self.servers[srv as usize],
-                    &mut self.store_pending[srv as usize],
-                    tok,
-                ) {
-                    let wire = self.rpc_latency(srv);
-                    sched.schedule_in(wire, Ev::StoreAck(ack));
-                }
-            }
             Ev::StoreAck(ack) => {
                 if self.topo.is_some() {
                     // The return path serializes through the fabric too.
@@ -1995,9 +1882,10 @@ impl World for Cluster {
                     self.store_ack(ack, sched);
                 }
             }
-            Ev::GlobalScrub(_) | Ev::GlobalSnapshot => {
-                // Barrier operations: executed by `ClusterShard::handle_global`
-                // between windows, never as ordinary events.
+            Ev::StoreArrive(_) | Ev::StoreDiskDone(_) | Ev::GlobalScrub(_) | Ev::GlobalSnapshot => {
+                // Store-side events run on the store shards; barrier
+                // operations run in `ClusterShard::handle_global` between
+                // windows. Neither reaches the hub.
             }
             Ev::Delay(tok) => {
                 self.pending.push(tok);
@@ -2033,39 +1921,6 @@ impl World for Cluster {
                     self.pump(sched);
                 }
             }
-            Ev::TopoFault(i, frac) => {
-                if self.topo.is_some() {
-                    let now = sched.now();
-                    if self.tracer.enabled() {
-                        let name = TopoLink::from_index(i as usize).name();
-                        self.tracer.fault_mark(now, format!("topo-link {name} x{frac:.2}"));
-                    }
-                    if let Some(tn) = self.topo.as_mut() {
-                        tn.links[i as usize].set_capacity_frac(now, frac.clamp(0.0, 1.0));
-                        tn.touched |= 1u64 << i;
-                    }
-                    self.topo_drain(i as usize, sched);
-                    self.pump(sched);
-                }
-            }
-            Ev::ServerAlive(i, alive) => {
-                if self.tracer.enabled() {
-                    let verb = if alive { "server-restart" } else { "server-crash" };
-                    self.tracer.fault_mark(sched.now(), format!("{verb} s{i}"));
-                }
-                self.selector.set_healthy(ServerId(i), alive);
-                if self.remote {
-                    if alive {
-                        sched.defer_global(Ev::GlobalScrub(i));
-                    }
-                } else {
-                    // simlint: allow(cross-shard-access, reason = "sequential-mode branch: !remote means the servers still live in this world")
-                    self.servers[i as usize].set_alive(alive);
-                    if alive {
-                        self.restart_scrub(i as usize, sched.now());
-                    }
-                }
-            }
             Ev::Fault(kind) => {
                 self.apply_fault(kind, sched);
             }
@@ -2094,13 +1949,9 @@ impl World for Cluster {
                 }
             }
             Ev::SnapshotTick => {
-                if self.remote {
-                    // The chunk stores live in other shards: snapshot at
-                    // the window barrier where all of them are in scope.
-                    sched.defer_global(Ev::GlobalSnapshot);
-                } else {
-                    self.take_snapshot(sched.now());
-                }
+                // The chunk stores live in other shards: snapshot at the
+                // window barrier where all of them are in scope.
+                sched.defer_global(Ev::GlobalSnapshot);
                 if let Some(period) = self.cfg.snapshot_period {
                     sched.schedule_in(period, Ev::SnapshotTick);
                 }
@@ -2133,58 +1984,6 @@ impl World for Cluster {
     }
 }
 
-/// Server-side arrival of a storage RPC: record the disk queue depth and
-/// submit the disk I/O. Shared verbatim between the sequential world and
-/// the per-server shard, so both execute the identical schedule.
-fn store_submit(
-    disk: &mut DiskModel,
-    pending: &mut BTreeMap<u64, StoreMsg>,
-    mut msg: StoreMsg,
-    now: Time,
-) -> Option<simkit::JobStart> {
-    msg.depth = disk.queued() as u32;
-    let tok = msg.tok;
-    let bytes = msg.bytes as usize;
-    pending.insert(tok, msg);
-    disk.submit(now, bytes, tok)
-}
-
-/// Server-side completion of a storage RPC's disk I/O: perform the
-/// functional append (with local LSM compaction when the chunk's threshold
-/// fires) and build the ack for the hub.
-fn store_finish(
-    server: &mut StorageServer,
-    pending: &mut BTreeMap<u64, StoreMsg>,
-    tok: u64,
-) -> Option<AckMsg> {
-    let msg = pending.remove(&tok)?;
-    let outcome = match msg.payload {
-        None => AckOutcome::Fetched,
-        Some(p) => match server.append(p.chunk_key, p.block, p.stored) {
-            Some(wants_compaction) => {
-                let mut compacted = false;
-                if wants_compaction {
-                    if let Some(chunk) = server.chunk_mut(p.chunk_key) {
-                        chunk.compact();
-                        compacted = true;
-                    }
-                }
-                AckOutcome::Stored { compacted }
-            }
-            None => AckOutcome::Dead,
-        },
-    };
-    Some(AckMsg {
-        server: msg.server,
-        tok,
-        bytes: msg.bytes,
-        outcome,
-        depth: msg.depth,
-        redirects: msg.redirects,
-        class: msg.class,
-    })
-}
-
 /// One storage server's shard: its NVMe disk, its chunk store, and the
 /// in-flight storage RPCs between arrival and disk completion. Everything
 /// a server does locally lives here; cluster-wide operations (restart
@@ -2204,6 +2003,40 @@ pub struct StoreShard {
     tag: simkit::ShardTag,
 }
 
+impl StoreShard {
+    /// Completion of a storage RPC's disk I/O: perform the functional
+    /// append (with local LSM compaction when the chunk's threshold fires)
+    /// and build the ack for the hub.
+    fn finish(&mut self, tok: u64) -> Option<AckMsg> {
+        let msg = self.pending.remove(&tok)?;
+        let outcome = match msg.payload {
+            None => AckOutcome::Fetched,
+            Some(p) => match self.server.append(p.chunk_key, p.block, p.stored) {
+                Some(wants_compaction) => {
+                    let mut compacted = false;
+                    if wants_compaction {
+                        if let Some(chunk) = self.server.chunk_mut(p.chunk_key) {
+                            chunk.compact();
+                            compacted = true;
+                        }
+                    }
+                    AckOutcome::Stored { compacted }
+                }
+                None => AckOutcome::Dead,
+            },
+        };
+        Some(AckMsg {
+            server: msg.server,
+            tok,
+            bytes: msg.bytes,
+            outcome,
+            depth: msg.depth,
+            redirects: msg.redirects,
+            class: msg.class,
+        })
+    }
+}
+
 impl World for StoreShard {
     type Event = Ev;
 
@@ -2211,28 +2044,28 @@ impl World for StoreShard {
         self.tag.check("storage server shard state (disk, chunk store, RPC table)");
         let now = sched.now();
         match ev {
-            Ev::StoreArrive(msg) => {
-                if let Some(js) = store_submit(&mut self.disk, &mut self.pending, msg, now) {
-                    sched.schedule_at(js.finish_at, Ev::StoreDiskDone(self.id, js.token));
+            Ev::StoreArrive(mut msg) => {
+                msg.depth = self.disk.queued() as u32;
+                let (tok, bytes) = (msg.tok, msg.bytes as usize);
+                self.pending.insert(tok, msg);
+                if let Some(js) = self.disk.submit(now, bytes, tok) {
+                    sched.schedule_at(js.finish_at, Ev::StoreDiskDone(js.token));
                 }
             }
-            Ev::StoreDiskDone(_, tok) => {
+            Ev::StoreDiskDone(tok) => {
                 if let Some(next) = self.disk.complete(now) {
-                    sched.schedule_at(next.finish_at, Ev::StoreDiskDone(self.id, next.token));
+                    sched.schedule_at(next.finish_at, Ev::StoreDiskDone(next.token));
                 }
-                if let Some(ack) = store_finish(&mut self.server, &mut self.pending, tok) {
+                if let Some(ack) = self.finish(tok) {
                     sched.send(0, self.wire, Ev::StoreAck(ack));
                 }
-            }
-            Ev::ServerAlive(_, alive) => {
-                self.server.set_alive(alive);
             }
             Ev::Fault(kind) => match kind {
                 FaultKind::ServerCrash { .. } => self.server.set_alive(false),
                 FaultKind::ServerRestart { .. } => self.server.set_alive(true),
                 FaultKind::ServerSlow { factor, .. } => self.disk.set_slow_factor(factor),
                 FaultKind::ServerNormal { .. } => self.disk.set_slow_factor(1.0),
-                FaultKind::LinkDegrade { .. } => {}
+                FaultKind::LinkDegrade { .. } | FaultKind::TopoLinkDegrade { .. } => {}
             },
             _ => {}
         }
@@ -2271,8 +2104,9 @@ impl ShardWorld for ClusterShard {
 }
 
 /// Barrier operation: post-restart recovery of `server`, scrubbing its
-/// chunk store against the hub's checksum index and restoring blocks from
-/// any live replica — the sharded twin of [`Cluster::restart_scrub`].
+/// chunk store against the hub's checksum index and restoring blocks it
+/// should hold (written while it was down, or rotted) from any live
+/// replica.
 fn scrub_global(shards: &mut [&mut ClusterShard], at: Time, server: u32) {
     simkit::sanitizer::assert_barrier("restart scrub (cluster-wide repair)");
     let (hub_slice, stores) = shards.split_at_mut(1);
@@ -2316,8 +2150,10 @@ fn scrub_global(shards: &mut [&mut ClusterShard], at: Time, server: u32) {
     );
 }
 
-/// Barrier operation: one round-robin snapshot tick — the sharded twin of
-/// [`Cluster::take_snapshot`].
+/// Barrier operation: one tick of the snapshot service, which freezes one
+/// hosted chunk per tick, rotating round-robin across servers (§2.2.3
+/// lists snapshotting among the maintenance services every middle-tier
+/// server runs).
 fn snapshot_global(shards: &mut [&mut ClusterShard], at: Time) {
     simkit::sanitizer::assert_barrier("snapshot service (reads every server's chunks)");
     let (hub_slice, stores) = shards.split_at_mut(1);
@@ -2340,26 +2176,21 @@ fn snapshot_global(shards: &mut [&mut ClusterShard], at: Time) {
 
 impl Cluster {
     /// Splits this cluster into shard worlds: the hub (this world, with the
-    /// storage-side state removed and `remote` set) plus one
-    /// [`StoreShard`] per storage server.
+    /// storage-side state removed) plus one [`StoreShard`] per storage
+    /// server.
     fn split_for_shards(mut self) -> Vec<ClusterShard> {
-        self.remote = true;
-        let disks = std::mem::take(&mut self.disks);
         let servers = std::mem::take(&mut self.servers);
-        let pending = std::mem::take(&mut self.store_pending);
-        let wires: Vec<Time> = (0..disks.len())
+        let wires: Vec<Time> = (0..servers.len())
             .map(|i| self.rpc_latency(i as u32))
             .collect();
-        let mut shards: Vec<ClusterShard> = Vec::with_capacity(1 + disks.len());
+        let mut shards: Vec<ClusterShard> = Vec::with_capacity(1 + servers.len());
         shards.push(ClusterShard::Hub(Box::new(self)));
-        for (i, (((disk, server), pending), wire)) in
-            disks.into_iter().zip(servers).zip(pending).zip(wires).enumerate()
-        {
+        for (i, (server, wire)) in servers.into_iter().zip(wires).enumerate() {
             shards.push(ClusterShard::Store(StoreShard {
                 id: i as u32,
-                disk,
+                disk: DiskModel::nvme("storage-disk"),
                 server,
-                pending,
+                pending: BTreeMap::new(),
                 wire,
                 tag: simkit::ShardTag::new(1 + i as u32),
             }));
@@ -2368,8 +2199,7 @@ impl Cluster {
     }
 
     /// Reassembles a cluster from its shards after a run, so callers can
-    /// audit servers, snapshots, and stored blocks exactly as in the
-    /// sequential mode.
+    /// audit servers, snapshots, and stored blocks.
     fn absorb_shards(shards: Vec<ClusterShard>) -> Cluster {
         let mut hub: Option<Box<Cluster>> = None;
         let mut stores: Vec<StoreShard> = Vec::new();
@@ -2383,12 +2213,7 @@ impl Cluster {
             unreachable!("split_for_shards always emits the hub shard");
         };
         stores.sort_by_key(|s| s.id);
-        for st in stores {
-            cluster.disks.push(st.disk);
-            cluster.servers.push(st.server);
-            cluster.store_pending.push(st.pending);
-        }
-        cluster.remote = false;
+        cluster.servers.extend(stores.into_iter().map(|st| st.server));
         *cluster
     }
 }
@@ -2400,7 +2225,7 @@ fn fault_server(kind: &FaultKind) -> Option<u32> {
         | FaultKind::ServerRestart { server }
         | FaultKind::ServerSlow { server, .. }
         | FaultKind::ServerNormal { server } => Some(*server),
-        FaultKind::LinkDegrade { .. } => None,
+        FaultKind::LinkDegrade { .. } | FaultKind::TopoLinkDegrade { .. } => None,
     }
 }
 
@@ -2408,47 +2233,26 @@ fn fault_server(kind: &FaultKind) -> Option<u32> {
 ///
 /// Deterministic: equal configurations produce identical reports.
 pub fn run(cfg: &RunConfig) -> RunReport {
-    run_with(cfg, |_| {})
+    run_counted_stats(cfg, |_| {}, None).0
 }
 
-/// Like [`run`], but lets the caller adjust the cluster before it starts
-/// (e.g. set a read fraction or kill a storage server).
-pub fn run_with(cfg: &RunConfig, setup: impl FnOnce(&mut Cluster)) -> RunReport {
-    run_full(cfg, setup).0
-}
-
-/// Like [`run_with`], but also hands back the finished cluster so callers
-/// can audit its functional state — the chaos suite reads every stored
-/// block after the faults and asserts it still decompresses.
-pub fn run_full(cfg: &RunConfig, setup: impl FnOnce(&mut Cluster)) -> (RunReport, Cluster) {
-    let (report, cluster, _) = run_counted(cfg, setup);
-    (report, cluster)
-}
-
-/// Like [`run_full`], but additionally returns the number of discrete
-/// events the engine executed ([`Simulation::executed`]).
+/// Runs a full experiment for `cfg` and returns its report, the finished
+/// cluster, and the engine's event and synchronization accounting.
 ///
-/// The count is a property of the *implementation*, not the simulated
-/// outcome: the perf harness and the events-budget regression test use it
-/// as a wall-clock-free measure of simulator work per run. It is kept out
-/// of [`RunReport`] so report JSON stays a pure function of the simulated
-/// schedule.
-pub fn run_counted(
-    cfg: &RunConfig,
-    setup: impl FnOnce(&mut Cluster),
-) -> (RunReport, Cluster, u64) {
-    let (report, cluster, stats) = run_counted_stats(cfg, setup, None);
-    (report, cluster, stats.events)
-}
-
-/// Like [`run_counted`], but returns the engine's full payload/sync
-/// accounting and takes an explicit worker-thread count (`None` = the
-/// `SMARTDS_THREADS` environment default).
+/// `setup` adjusts the cluster before it starts (a read fraction, tenant
+/// rate limits). The returned cluster lets callers audit functional state:
+/// the chaos suite reads every stored block after the faults and asserts
+/// it still decompresses. The [`EngineStats`] are a property of the
+/// *implementation*, not the simulated outcome: the perf harness and the
+/// events-budget regression test use them as a wall-clock-free measure of
+/// simulator work, kept out of [`RunReport`] so report JSON stays a pure
+/// function of the simulated schedule.
 ///
 /// Every run — whatever the thread count — executes on the sharded engine
 /// (hub shard 0, one shard per storage server), so the simulated schedule
-/// is one fixed function of the configuration; threads change wall time
-/// only. Tests that compare thread counts pass `Some(n)` to stay immune to
+/// is one fixed function of the configuration; `threads` (`None` = the
+/// `SMARTDS_THREADS` environment default) changes wall time only. Tests
+/// that compare thread counts pass `Some(n)` to stay immune to
 /// environment races.
 pub fn run_counted_stats(
     cfg: &RunConfig,
@@ -2465,8 +2269,6 @@ pub fn run_counted_stats(
         m.start(&mut cluster.fabric.mem, Time::ZERO);
         cluster.mlc = Some(m);
     }
-    let faults = cfg.faults.clone();
-    let plan = cfg.fault_plan.clone();
     let num_servers = cluster.num_servers;
     // The first tenant arrival is drawn before the hub moves into its
     // shard, so the schedule is identical at every thread count.
@@ -2485,8 +2287,7 @@ pub fn run_counted_stats(
         // horizons; `with_sync_matrix` rejects configurations that defer
         // them, and the engine panics if one slips through.
         assert!(
-            cfg.faults.is_empty()
-                && cfg.fault_plan.events().is_empty()
+            cfg.fault_plan.is_empty()
                 && cfg.snapshot_period.is_none()
                 && cfg.topology.is_none(),
             "sync_matrix set on a run that defers barrier operations"
@@ -2501,20 +2302,11 @@ pub fn run_counted_stats(
     // the server/disk effect. Both sides see it deterministically.
     let store_shard =
         |server: u32| ((server as usize) < num_servers).then(|| 1 + server as usize);
-    for (at, server, alive) in faults {
-        sim.schedule_at(0, at, Ev::ServerAlive(server, alive));
-        if let Some(s) = store_shard(server) {
-            sim.schedule_at(s, at, Ev::ServerAlive(server, alive));
-        }
-    }
-    for e in plan.events() {
+    for e in cfg.fault_plan.events() {
         sim.schedule_at(0, e.at, Ev::Fault(e.kind));
         if let Some(s) = fault_server(&e.kind).and_then(store_shard) {
             sim.schedule_at(s, e.at, Ev::Fault(e.kind));
         }
-    }
-    for (at, link, frac) in cfg.topo_faults.clone() {
-        sim.schedule_at(0, at, Ev::TopoFault(link.index() as u16, frac));
     }
     if let Some(period) = cfg.snapshot_period {
         sim.schedule_at(0, period, Ev::SnapshotTick);
@@ -2522,16 +2314,24 @@ pub fn run_counted_stats(
     if let Some(period) = cfg.sample_period {
         sim.schedule_at(0, period, Ev::SampleTick);
     }
-    if let Some(a) = first_arrival {
-        // Open loop, tenant generator: seeded arrivals drive issue.
-        sim.schedule_at(0, a.at.max(Time::from_ps(1)), Ev::TenantArrival(a.tenant, a.class));
-    } else if cfg.open_loop_gbps.is_some() {
-        // Open loop: a single Poisson arrival process drives issue.
-        sim.schedule_at(0, Time::from_ps(1), Ev::Arrival);
-    } else {
-        // Stagger the initial closed-loop issues over the first microseconds.
-        for slot in 0..cfg.outstanding as u32 {
-            sim.schedule_at(0, Time::from_ps(200_000u64 * slot as u64 + 1), Ev::Issue(slot));
+    match cfg.driver {
+        Driver::Closed => {
+            // Stagger the initial closed-loop issues over the first
+            // microseconds.
+            for slot in 0..cfg.outstanding as u32 {
+                sim.schedule_at(0, Time::from_ps(200_000u64 * slot as u64 + 1), Ev::Issue(slot));
+            }
+        }
+        Driver::Poisson { .. } => {
+            // Open loop: a single Poisson arrival process drives issue.
+            sim.schedule_at(0, Time::from_ps(1), Ev::Arrival);
+        }
+        Driver::Tenants { .. } => {
+            // Open loop, tenant generator: seeded arrivals drive issue.
+            if let Some(a) = first_arrival {
+                let at = a.at.max(Time::from_ps(1));
+                sim.schedule_at(0, at, Ev::TenantArrival(a.tenant, a.class));
+            }
         }
     }
     sim.schedule_at(0, warmup, Ev::WarmupEnd);
@@ -2569,7 +2369,6 @@ fn star_lookahead(servers: usize, lookahead: Time) -> Vec<Vec<Time>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::Simulation;
 
     fn quick(design: Design) -> RunConfig {
         let mut c = RunConfig::saturating(design);
@@ -2689,17 +2488,7 @@ mod tests {
 
     #[test]
     fn stored_blocks_decompress_to_original_payloads() {
-        let cfg = quick(Design::SmartDs { ports: 1 });
-        let mut cluster = Cluster::new(cfg.clone());
-        let end = cfg.warmup + cfg.measure;
-        cluster.stop_issuing_at = end;
-        let mut sim = Simulation::new(cluster);
-        for slot in 0..cfg.outstanding as u32 {
-            sim.schedule_at(Time::from_ps(200_000u64 * slot as u64 + 1), Ev::Issue(slot));
-        }
-        sim.schedule_at(end, Ev::RunEnd);
-        sim.run();
-        let cluster = sim.into_world();
+        let (_, cluster, _) = run_counted_stats(&quick(Design::SmartDs { ports: 1 }), |_| {}, None);
         let mut verified = 0usize;
         for srv in &cluster.servers {
             assert!(srv.appends() > 0, "every server should receive appends");

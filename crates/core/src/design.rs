@@ -87,6 +87,29 @@ impl fmt::Display for Design {
     }
 }
 
+/// What issues requests into the cluster.
+#[derive(Clone, Debug)]
+pub enum Driver {
+    /// Closed loop (the [`RunConfig::saturating`] default): `outstanding`
+    /// client slots, each issuing its next request a think time after the
+    /// previous one completes.
+    Closed,
+    /// Open-loop Poisson arrivals at `gbps` of write payload. Open loop is
+    /// how latency–throughput curves are measured.
+    Poisson {
+        /// Offered load, Gbps of write payload.
+        gbps: f64,
+    },
+    /// The seeded open-loop multi-tenant generator, optionally behind
+    /// SmartNIC-side admission control.
+    Tenants {
+        /// Tenant population, skew, rate schedule and class mapping.
+        load: crate::loadgen::LoadSpec,
+        /// Admission control over the arrival stream, if any.
+        admission: Option<crate::admission::AdmissionSpec>,
+    },
+}
+
 /// Full configuration of one simulation run.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -106,12 +129,11 @@ pub struct RunConfig {
     pub pool_blocks: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Fault injections: at each `(time, server, alive)` the storage server
-    /// is failed or recovered (the fail-over maintenance path).
-    pub faults: Vec<(simkit::Time, u32, bool)>,
-    /// Timed fault schedule (crashes, gray stalls, link degradation)
-    /// delivered through the event engine; empty = fair weather. Built
-    /// explicitly or from a seed via `faultkit::FaultPlan::chaos`.
+    /// Timed fault schedule (crashes, gray stalls, port and rack-fabric
+    /// link degradation) delivered through the event engine; empty = fair
+    /// weather. Built explicitly, from a seed via
+    /// `faultkit::FaultPlan::chaos`, or with the `with_fault` /
+    /// `with_topo_fault` builders.
     pub fault_plan: faultkit::FaultPlan,
     /// Per-request timeout: a request not completed this long after issue
     /// is aborted (its quorum via `QuorumTracker::abort`), its silent
@@ -134,10 +156,9 @@ pub struct RunConfig {
     /// Zipf skew of block accesses (None = uniform). Production block
     /// workloads are hot-spotted, which drives compaction pressure.
     pub zipf_theta: Option<f64>,
-    /// Open-loop offered load in Gbps of write payload (Poisson arrivals).
-    /// `None` = closed loop with `outstanding` slots. Open loop is how
-    /// latency–throughput curves are measured.
-    pub open_loop_gbps: Option<f64>,
+    /// What issues requests: the closed loop (default), Poisson arrivals,
+    /// or the tenant load generator.
+    pub driver: Driver,
     /// Period of the throughput sampler (transient time series), if any.
     pub sample_period: Option<simkit::Time>,
     /// Write replication factor (paper default 3; ablation knob).
@@ -150,16 +171,6 @@ pub struct RunConfig {
     /// ToR/spine links. `None` keeps the paper's single-cell testbed
     /// (`cluster::STORAGE_SERVERS` servers, flat 1.5 µs wire).
     pub topology: Option<crate::topology::Topology>,
-    /// Open-loop multi-tenant load generator, if any. Replaces both the
-    /// closed loop and `open_loop_gbps` (setting both is rejected).
-    pub load: Option<crate::loadgen::LoadSpec>,
-    /// SmartNIC-side admission control for the open-loop stream; only
-    /// meaningful together with `load`.
-    pub admission: Option<crate::admission::AdmissionSpec>,
-    /// Fabric-link fault schedule: at each `(time, link, fraction)` the
-    /// topology link's capacity is scaled to `fraction` of nominal
-    /// (0.0 = killed, 1.0 = restored). Requires `topology`.
-    pub topo_faults: Vec<(simkit::Time, crate::topology::TopoLink, f64)>,
     /// Inline data services (dedup + encryption + hot-block cache) on the
     /// byte path. `None` runs the original pipeline bit-for-bit.
     pub services: Option<crate::services::ServicesConfig>,
@@ -208,7 +219,6 @@ impl RunConfig {
             mlc: None,
             pool_blocks: 256,
             seed: 42,
-            faults: Vec::new(),
             fault_plan: faultkit::FaultPlan::new(),
             request_timeout: None,
             max_retries: 4,
@@ -217,14 +227,11 @@ impl RunConfig {
             snapshot_period: None,
             io_mem_window: hwmodel::consts::IO_MEM_WINDOW,
             zipf_theta: None,
-            open_loop_gbps: None,
+            driver: Driver::Closed,
             sample_period: None,
             replication: hwmodel::consts::REPLICATION,
             trace: None,
             topology: None,
-            load: None,
-            admission: None,
-            topo_faults: Vec::new(),
             services: None,
             corpus_profile: None,
             sync_matrix: false,
@@ -257,15 +264,25 @@ impl RunConfig {
         self
     }
 
-    /// Fails (or recovers) a storage server at `at` (fail-over experiments).
+    /// Adds a crash (`alive = false`) or restart of a storage server at
+    /// `at` to the fault plan (fail-over experiments).
     pub fn with_fault(mut self, at: simkit::Time, server: u32, alive: bool) -> Self {
-        self.faults.push((at, server, alive));
+        let kind = if alive {
+            faultkit::FaultKind::ServerRestart { server }
+        } else {
+            faultkit::FaultKind::ServerCrash { server }
+        };
+        self.fault_plan.push(at, kind);
         self
     }
 
-    /// Installs a timed fault schedule (chaos experiments).
+    /// Merges a timed fault schedule into the fault plan (chaos
+    /// experiments). Faults added earlier stay; same-instant events keep
+    /// builder order.
     pub fn with_fault_plan(mut self, plan: faultkit::FaultPlan) -> Self {
-        self.fault_plan = plan;
+        for e in plan.events() {
+            self.fault_plan.push(e.at, e.kind);
+        }
         self
     }
 
@@ -298,10 +315,11 @@ impl RunConfig {
         self
     }
 
-    /// Switches to open-loop Poisson arrivals at `gbps` of write payload.
+    /// Drives the cluster with open-loop Poisson arrivals at `gbps` of
+    /// write payload (replaces any earlier driver).
     pub fn with_open_loop(mut self, gbps: f64) -> Self {
         assert!(gbps > 0.0, "offered load must be positive");
-        self.open_loop_gbps = Some(gbps);
+        self.driver = Driver::Poisson { gbps };
         self
     }
 
@@ -322,21 +340,33 @@ impl RunConfig {
     }
 
     /// Drives the cluster with the seeded open-loop multi-tenant
-    /// generator (replaces the closed loop).
+    /// generator, without admission control (replaces any earlier driver).
     pub fn with_load(mut self, load: crate::loadgen::LoadSpec) -> Self {
         load.validate();
-        self.load = Some(load);
+        self.driver = Driver::Tenants { load, admission: None };
         self
     }
 
-    /// Enables SmartNIC-side admission control over the open-loop stream.
+    /// Puts SmartNIC-side admission control in front of the tenant load
+    /// generator.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the driver is the tenant generator ([`with_load`]).
+    ///
+    /// [`with_load`]: RunConfig::with_load
     pub fn with_admission(mut self, spec: crate::admission::AdmissionSpec) -> Self {
-        self.admission = Some(spec);
+        let Driver::Tenants { admission, .. } = &mut self.driver else {
+            panic!("admission control requires the open-loop tenant load generator");
+        };
+        *admission = Some(spec);
         self
     }
 
-    /// Scales a fabric link's capacity to `fraction` of nominal at `at`
-    /// (0.0 kills the link; schedule a later 1.0 to restore it).
+    /// Adds a rack-fabric link fault to the fault plan: the link's
+    /// capacity is scaled to `fraction` of nominal at `at` (0.0 kills the
+    /// link; schedule a later 1.0 to restore it). A run without a
+    /// topology ignores it.
     pub fn with_topo_fault(
         mut self,
         at: simkit::Time,
@@ -344,7 +374,9 @@ impl RunConfig {
         fraction: f64,
     ) -> Self {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
-        self.topo_faults.push((at, link, fraction));
+        let link = link.index() as u16;
+        self.fault_plan
+            .push(at, faultkit::FaultKind::TopoLinkDegrade { link, fraction });
         self
     }
 
@@ -372,8 +404,7 @@ impl RunConfig {
     /// must keep the flat window.
     pub fn with_sync_matrix(mut self) -> Self {
         assert!(
-            self.faults.is_empty()
-                && self.fault_plan.events().is_empty()
+            self.fault_plan.is_empty()
                 && self.snapshot_period.is_none()
                 && self.topology.is_none(),
             "sync_matrix requires a fair-weather flat-wire run: \

@@ -61,7 +61,7 @@ pub mod topology;
 mod workload;
 
 pub use admission::{Admission, AdmissionSpec, Verdict};
-pub use design::{Design, RunConfig};
+pub use design::{Design, Driver, RunConfig};
 pub use loadgen::{Arrival, LoadGen, LoadSpec};
 pub use metrics::{Metrics, RunReport, ScaleStats};
 pub use services::{Placement, ServiceStats, Services, ServicesConfig};

@@ -58,10 +58,9 @@ pub enum Step {
     /// Replicate the (compressed) block of `bytes` to replica `r`'s storage
     /// server: one storage RPC covering the network propagation to the
     /// server, the disk I/O, the functional append, and the ack's
-    /// propagation back. Executed as a cross-shard message exchange when the
-    /// simulation runs sharded (the propagation is exactly the engine's
-    /// conservative lookahead), or as local events sequentially — the
-    /// simulated schedule is identical either way.
+    /// propagation back. Executed as a cross-shard message exchange with
+    /// the server's shard (the propagation is exactly the engine's
+    /// conservative lookahead).
     Store(u8, u32),
     /// Fetch a block of `bytes` (compressed size) from replica 0's storage
     /// server: propagation out, disk read, propagation back. The storage-RPC

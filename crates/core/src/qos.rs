@@ -1,18 +1,14 @@
-//! Multi-tenant quality of service: token buckets and weighted scheduling.
+//! Multi-tenant quality of service: token-bucket rate limits.
 //!
 //! A middle-tier server serves "millions of VMs" (§1) with different
 //! service types (§2.2.1's header carries the type; §4.3's example branches
 //! on latency sensitivity). Because SmartDS keeps all control logic in host
 //! software, per-tenant policies like rate limiting stay one code change
-//! away — this module provides the two classic building blocks and the
-//! cluster simulation wires them in front of request issue:
-//!
-//! * [`TokenBucket`] — rate + burst admission over simulated time.
-//! * [`WeightedScheduler`] — deficit-weighted round robin across tenant
-//!   queues.
+//! away — this module provides [`TokenBucket`], rate + burst admission
+//! over simulated time, which the cluster simulation wires in front of
+//! request issue.
 
 use simkit::{transfer_time, Time};
-use std::collections::VecDeque;
 
 /// A token bucket over simulated time.
 #[derive(Clone, Debug)]
@@ -82,88 +78,6 @@ impl TokenBucket {
     }
 }
 
-/// Deficit-weighted round robin across per-tenant queues.
-#[derive(Debug)]
-pub struct WeightedScheduler<T> {
-    queues: Vec<VecDeque<(u64, T)>>, // (cost, item)
-    weights: Vec<f64>,
-    deficits: Vec<f64>,
-    quantum: f64,
-    cursor: usize,
-}
-
-impl<T> WeightedScheduler<T> {
-    /// A scheduler over `weights.len()` tenants; tenant `i` receives
-    /// service proportional to `weights[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty or non-positive weights.
-    pub fn new(weights: Vec<f64>, quantum: f64) -> Self {
-        assert!(!weights.is_empty(), "need at least one tenant");
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        assert!(quantum > 0.0, "quantum must be positive");
-        let n = weights.len();
-        WeightedScheduler {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            weights,
-            deficits: vec![0.0; n],
-            quantum,
-            cursor: 0,
-        }
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Enqueues an item of `cost` (e.g. bytes) for `tenant`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an unknown tenant.
-    pub fn push(&mut self, tenant: usize, cost: u64, item: T) {
-        self.queues[tenant].push_back((cost, item));
-    }
-
-    /// Total queued items.
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Dequeues the next item under DWRR: each visit grants the tenant
-    /// `quantum × weight` deficit; a tenant serves while its head's cost
-    /// fits its deficit.
-    pub fn pop(&mut self) -> Option<(usize, T)> {
-        if self.is_empty() {
-            return None;
-        }
-        let n = self.queues.len();
-        loop {
-            let t = self.cursor;
-            let Some(&(head_cost, _)) = self.queues[t].front() else {
-                self.deficits[t] = 0.0;
-                self.cursor = (self.cursor + 1) % n;
-                continue;
-            };
-            if self.deficits[t] >= head_cost as f64 {
-                if let Some((_, item)) = self.queues[t].pop_front() {
-                    self.deficits[t] -= head_cost as f64;
-                    return Some((t, item));
-                }
-            }
-            self.deficits[t] += self.quantum * self.weights[t];
-            self.cursor = (self.cursor + 1) % n;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,54 +114,5 @@ mod tests {
         }
         let rate = admitted as f64; // bytes in ~1 s
         assert!((0.95e6..1.1e6).contains(&rate), "sustained {rate}");
-    }
-
-    #[test]
-    fn dwrr_serves_in_weight_proportion() {
-        let mut s = WeightedScheduler::new(vec![3.0, 1.0], 4096.0);
-        for i in 0..400u32 {
-            s.push((i % 2) as usize, 4096, i);
-        }
-        let mut counts = [0usize; 2];
-        for _ in 0..200 {
-            let (t, _) = s.pop().unwrap();
-            counts[t] += 1;
-        }
-        let ratio = counts[0] as f64 / counts[1] as f64;
-        assert!((2.5..3.5).contains(&ratio), "ratio {ratio:.2} {counts:?}");
-    }
-
-    #[test]
-    fn dwrr_is_work_conserving() {
-        let mut s = WeightedScheduler::new(vec![5.0, 1.0], 4096.0);
-        // Only the low-weight tenant has work: it gets full service.
-        for i in 0..10u32 {
-            s.push(1, 4096, i);
-        }
-        let mut got = Vec::new();
-        while let Some((t, item)) = s.pop() {
-            assert_eq!(t, 1);
-            got.push(item);
-        }
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn dwrr_handles_variable_costs() {
-        let mut s = WeightedScheduler::new(vec![1.0, 1.0], 1000.0);
-        // Tenant 0 sends big items, tenant 1 small: equal weights → tenant 1
-        // dequeues ~4x more items per unit cost.
-        for i in 0..100u32 {
-            s.push(0, 4000, i);
-            s.push(1, 1000, i);
-        }
-        let mut cost = [0u64; 2];
-        for _ in 0..60 {
-            let (t, _) = s.pop().unwrap();
-            cost[t] += if t == 0 { 4000 } else { 1000 };
-        }
-        let ratio = cost[0] as f64 / cost[1] as f64;
-        assert!((0.6..1.6).contains(&ratio), "byte-fairness ratio {ratio:.2}");
     }
 }

@@ -1,7 +1,7 @@
-//! Property tests for the QoS building blocks.
+//! Property tests for the QoS token bucket.
 
 use simkit::Time;
-use smartds::qos::{TokenBucket, WeightedScheduler};
+use smartds::qos::TokenBucket;
 use testkit::gen;
 
 testkit::prop! {
@@ -68,51 +68,5 @@ testkit::prop! {
                 "available={avail} bytes={bytes}"
             );
         }
-    }
-
-    /// Within a single tenant the scheduler is FIFO: items pop in push
-    /// order regardless of costs and quantum.
-    fn dwrr_is_fifo_within_tenant(
-        costs in gen::vecs(gen::u64s(1..10_000), 1..50),
-        quantum in gen::u64s(512..16_384),
-    ) {
-        let mut s = WeightedScheduler::new(vec![1.0], quantum as f64);
-        for (i, c) in costs.iter().enumerate() {
-            s.push(0, *c, i);
-        }
-        let mut popped = Vec::new();
-        while let Some((t, item)) = s.pop() {
-            assert_eq!(t, 0);
-            popped.push(item);
-        }
-        assert_eq!(popped, (0..costs.len()).collect::<Vec<_>>());
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
-    }
-
-    /// DWRR serves backlogged tenants within ±35 % of their weight share
-    /// (byte-weighted), for arbitrary weights.
-    fn dwrr_weight_shares_hold(
-        w0 in gen::u32s(1..8),
-        w1 in gen::u32s(1..8),
-        cost0 in gen::choice(vec![1024u64, 4096]),
-        cost1 in gen::choice(vec![1024u64, 4096]),
-    ) {
-        let mut s = WeightedScheduler::new(vec![w0 as f64, w1 as f64], 4096.0);
-        for i in 0..600u32 {
-            s.push(0, cost0, i);
-            s.push(1, cost1, i);
-        }
-        let mut served = [0f64; 2];
-        for _ in 0..400 {
-            let (t, _) = s.pop().expect("backlogged");
-            served[t] += if t == 0 { cost0 as f64 } else { cost1 as f64 };
-        }
-        let got = served[0] / served[1];
-        let want = w0 as f64 / w1 as f64;
-        assert!(
-            (got / want - 1.0).abs() < 0.35,
-            "byte ratio {got:.2} vs weight ratio {want:.2}"
-        );
     }
 }

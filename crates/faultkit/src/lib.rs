@@ -10,7 +10,8 @@
 //!
 //! * [`plan`] — **timed fault schedules**. A [`FaultPlan`] is an ordered
 //!   list of [`FaultEvent`]s (storage-server crash/restart, slow-replica
-//!   stalls, link down/up and bandwidth degradation) built either
+//!   stalls, link down/up and bandwidth degradation, rack-fabric link
+//!   degradation) built either
 //!   explicitly with [`FaultPlan::at`] or drawn from a seed with
 //!   [`FaultPlan::chaos`]. The cluster driver maps each event onto its
 //!   discrete-event queue, so faults interleave with regular traffic in

@@ -92,6 +92,16 @@ pub enum FaultKind {
         /// Fraction of nominal capacity remaining, in `[0, 1]`.
         fraction: f64,
     },
+    /// Scales rack-fabric link `link` (a ToR or spine link, by the
+    /// driver's dense link index) to `fraction` of nominal. A driver
+    /// without a rack fabric ignores it, as it ignores out-of-range
+    /// server ids.
+    TopoLinkDegrade {
+        /// Dense index of the fabric link (driver-local numbering).
+        link: u16,
+        /// Fraction of nominal capacity remaining, in `[0, 1]`.
+        fraction: f64,
+    },
 }
 
 impl FaultKind {
@@ -115,6 +125,9 @@ impl FaultKind {
             FaultKind::ServerNormal { server } => format!("server-normal s{server}"),
             FaultKind::LinkDegrade { link, fraction } => {
                 format!("link-degrade {} frac={fraction:.3}", link.label())
+            }
+            FaultKind::TopoLinkDegrade { link, fraction } => {
+                format!("topo-link-degrade #{link} frac={fraction:.3}")
             }
         }
     }

@@ -95,7 +95,8 @@ testkit::prop! {
                     assert!(slow.contains(&server), "normal without slow");
                     slow.retain(|&s| s != server);
                 }
-                FaultKind::LinkDegrade { fraction, .. } => {
+                FaultKind::LinkDegrade { fraction, .. }
+                | FaultKind::TopoLinkDegrade { fraction, .. } => {
                     assert!((0.0..=1.0).contains(&fraction));
                 }
             }

@@ -7,7 +7,7 @@
 //! or barrier globals (`Scheduler::defer_global`). simlint enforces the
 //! static shadow of that rule: inside the files of a *shard domain*, a
 //! call to an *owned method* is only legal from an exempt function (the
-//! audited store-side helpers and barrier operations) or from an `impl`
+//! audited barrier operations and post-run audit) or from an `impl`
 //! block of an exempt type (the shard world itself).
 //!
 //! Domains are configured in `crates/lintkit/shard_owned.txt`, a small
@@ -64,13 +64,8 @@ impl ShardConfig {
                 .map(|s| s.to_string())
                 .collect(),
                 exempt_fns: [
-                    "apply_fault",
-                    "restart_scrub",
                     "scrub_global",
                     "snapshot_global",
-                    "store_finish",
-                    "store_submit",
-                    "take_snapshot",
                     "verify_stored",
                 ]
                 .iter()

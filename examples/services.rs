@@ -30,14 +30,14 @@ fn base() -> RunConfig {
 
 fn main() {
     // Baseline: the original pipeline, LZ4 only, nothing sealed.
-    let (plain, _) = cluster::run_full(&base(), |c| c.set_read_fraction(0.5));
+    let (plain, _, _) = cluster::run_counted_stats(&base(), |c| c.set_read_fraction(0.5), None);
 
     // Services on: CDC dedup + XTS encryption + a 256-block cache with
     // depth-2 sequential prefetch — first charged on the shared host
     // cores, then offloaded to the dedicated engines.
     let run = |p: Placement| {
         let cfg = base().with_services(ServicesConfig::paper().with_placement(p));
-        let (report, cl) = cluster::run_full(&cfg, |c| c.set_read_fraction(0.5));
+        let (report, cl, _) = cluster::run_counted_stats(&cfg, |c| c.set_read_fraction(0.5), None);
         (report, cl.service_stats().expect("services enabled"))
     };
     let (host, stats) = run(Placement::Host);

@@ -10,9 +10,8 @@
 //! cargo run --release -p smartds-examples --bin tenants
 //! ```
 
-use simkit::{gbps, Simulation, Time};
-use smartds::cluster::{Cluster, Ev};
-use smartds::{Design, RunConfig};
+use simkit::{gbps, Time};
+use smartds::{cluster, Design, RunConfig};
 
 fn main() {
     let mut cfg = RunConfig::saturating(Design::SmartDs { ports: 1 });
@@ -25,18 +24,12 @@ fn main() {
 
     // Tenant contracts: 24 / 12 / 6 Gbps of write payload.
     let contracts = [24.0, 12.0, 6.0];
-    let mut cluster = Cluster::new(cfg.clone());
-    cluster.set_tenant_limits(contracts.iter().map(|&g| gbps(g)).collect());
-
+    let (_, cluster, _) = cluster::run_counted_stats(
+        &cfg,
+        |c| c.set_tenant_limits(contracts.iter().map(|&g| gbps(g)).collect()),
+        None,
+    );
     let end = cfg.warmup + cfg.measure;
-    let mut sim = Simulation::new(cluster);
-    for slot in 0..cfg.outstanding as u32 {
-        sim.schedule_at(Time::from_ps(200_000 * slot as u64 + 1), Ev::Issue(slot));
-    }
-    sim.schedule_at(cfg.warmup, Ev::WarmupEnd);
-    sim.schedule_at(end, Ev::RunEnd);
-    sim.run();
-    let cluster = sim.into_world();
 
     println!("tenant contracts vs achieved (over {} ms):", cfg.measure.as_ms());
     let window = cfg.measure.as_secs();

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     cfg.warmup = Time::from_ms(1.0);
     cfg.measure = Time::from_ms(4.0);
-    let (report, cluster) = cluster::run_full(&cfg, |_| {});
+    let (report, cluster, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
 
     println!("{} — {:.1} µs mean write latency", report.label, report.avg_us);
     println!("  {:<12} {:>8} {:>10} {:>10} {:>10}", "stage", "count", "mean_us", "p99_us", "p999_us");

@@ -37,8 +37,8 @@ fn same_seed_same_report_with_snapshots_and_reads() {
     // scrubber into play; iteration order there must not leak wall-clock
     // or hasher nondeterminism into the results.
     let cfg = quick(Design::SmartDs { ports: 1 }).with_snapshots(simkit::Time::from_ms(1.0));
-    let a = cluster::run_with(&cfg, |c| c.set_read_fraction(1.0 / 6.0));
-    let b = cluster::run_with(&cfg, |c| c.set_read_fraction(1.0 / 6.0));
+    let a = cluster::run_counted_stats(&cfg, |c| c.set_read_fraction(1.0 / 6.0), None).0;
+    let b = cluster::run_counted_stats(&cfg, |c| c.set_read_fraction(1.0 / 6.0), None).0;
     assert_eq!(a.to_json(), b.to_json());
 }
 
@@ -193,6 +193,50 @@ fn same_fault_plan_seed_same_report_bytes() {
             b.to_json(),
             "seed {seed}: chaos run must replay byte-identically"
         );
+    }
+}
+
+#[test]
+fn equivalent_builder_paths_produce_identical_reports() {
+    // One fault channel, one load driver: builder calls that describe the
+    // same run must produce the same report bytes.
+    use faultkit::{FaultKind, FaultPlan};
+    use simkit::Time;
+    use smartds::{LoadSpec, TopoLink};
+
+    let base = quick(Design::SmartDs { ports: 1 });
+    let load = LoadSpec::rack_default(12.0, base.warmup + base.measure);
+    let restart = FaultPlan::new().at(Time::from_ms(3.0), FaultKind::ServerRestart { server: 2 });
+    let fault_then_plan = base
+        .clone()
+        .with_fault(Time::from_ms(2.0), 2, false)
+        .with_fault_plan(restart.clone());
+    assert_eq!(
+        fault_then_plan.fault_plan.len(),
+        2,
+        "with_fault_plan must merge into, not replace, the faults added before it"
+    );
+    let cases = [
+        (
+            "a rack-fabric link fault on a flat-wire run is ignored",
+            base.clone().with_topo_fault(Time::from_ms(2.0), TopoLink::SpineUp, 0.0),
+            base.clone(),
+        ),
+        (
+            "a driver set later replaces the one set earlier",
+            base.clone().with_load(load).with_open_loop(30.0),
+            base.clone().with_open_loop(30.0),
+        ),
+        (
+            "with_fault and with_fault_plan compose in either order",
+            fault_then_plan,
+            base.clone()
+                .with_fault_plan(restart)
+                .with_fault(Time::from_ms(2.0), 2, false),
+        ),
+    ];
+    for (what, a, b) in cases {
+        assert_eq!(cluster::run(&a).to_json(), cluster::run(&b).to_json(), "{what}");
     }
 }
 

@@ -82,9 +82,6 @@ fn failover_preserves_replica_count_functionally() {
 
 #[test]
 fn failover_transient_is_visible_then_recovers() {
-    use simkit::Simulation;
-    use smartds::cluster::{Cluster, Ev};
-
     // Sample throughput every 250 µs; kill 3 of 6 servers at 4 ms and
     // recover them at 6 ms. With only 3 healthy servers every replica set
     // must include all of them, so placement continues but any further
@@ -101,19 +98,7 @@ fn failover_transient_is_visible_then_recovers() {
     cfg.sample_period = Some(Time::from_us(250.0));
     cfg.measure = Time::from_ms(10.0);
 
-    let cluster = Cluster::new(cfg.clone());
-    let end = cfg.warmup + cfg.measure;
-    let mut sim = Simulation::new(cluster);
-    for slot in 0..cfg.outstanding as u32 {
-        sim.schedule_at(Time::from_ps(200_000 * slot as u64 + 1), Ev::Issue(slot));
-    }
-    for (at, server, alive) in cfg.faults.clone() {
-        sim.schedule_at(at, Ev::ServerAlive(server, alive));
-    }
-    sim.schedule_at(Time::from_us(250.0), Ev::SampleTick);
-    sim.schedule_at(end, Ev::RunEnd);
-    sim.run();
-    let c = sim.into_world();
+    let (_, c, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
 
     // Convert cumulative samples to per-interval rates.
     let rate_at = |t_ms: f64| -> u64 {

@@ -142,7 +142,7 @@ fn check_or_write(name: &str, got: &str) {
 fn metrics_json_matches_golden_fixtures() {
     for seed in [101u64, 202, 303] {
         let cfg = golden_cfg(seed);
-        let (report, _) = cluster::run_full(&cfg, |_| {});
+        let (report, _, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
         let mut text = report.to_json();
         text.push('\n');
         check_or_write(&format!("metrics_{seed}.json"), &text);
@@ -263,7 +263,7 @@ fn trace_export_matches_golden_digest() {
         sample_one_in: 16,
         capacity: 1 << 17,
     });
-    let (_, cluster) = cluster::run_full(&cfg, |_| {});
+    let (_, cluster, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
     let export = cluster.tracer.export_chrome();
     assert!(
         cluster.tracer.opened() > 100,

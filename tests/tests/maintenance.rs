@@ -1,26 +1,14 @@
 //! Maintenance services in the timed path: periodic snapshots stay
 //! immutable while writes continue, and compaction keeps garbage bounded.
 
-use simkit::{Simulation, Time};
-use smartds::cluster::{Cluster, Ev};
+use simkit::Time;
+use smartds::cluster::{self, Cluster};
 use smartds::{Design, RunConfig};
 
-/// Runs a cluster to completion and hands the final world back (the public
-/// `cluster::run` returns only the report; tests that inspect chunk/snapshot
-/// state drive the lifecycle directly).
+/// Runs a cluster to completion and hands the final world back, so tests
+/// can inspect chunk and snapshot state.
 fn run_and_keep(cfg: &RunConfig) -> Cluster {
-    let cluster = Cluster::new(cfg.clone());
-    let end = cfg.warmup + cfg.measure;
-    let mut sim = Simulation::new(cluster);
-    for slot in 0..cfg.outstanding as u32 {
-        sim.schedule_at(Time::from_ps(200_000 * slot as u64 + 1), Ev::Issue(slot));
-    }
-    if let Some(period) = cfg.snapshot_period {
-        sim.schedule_at(period, Ev::SnapshotTick);
-    }
-    sim.schedule_at(end, Ev::RunEnd);
-    sim.run();
-    sim.into_world()
+    cluster::run_counted_stats(cfg, |_| {}, None).1
 }
 
 #[test]

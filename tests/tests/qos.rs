@@ -15,24 +15,14 @@ fn quick(design: Design) -> RunConfig {
 #[test]
 fn tenant_rate_limits_shape_throughput_2_to_1() {
     let cfg = quick(Design::SmartDs { ports: 1 });
-    let mut counts = Vec::new();
-    let report = {
-        use smartds::cluster::{Cluster, Ev};
-        let mut c = Cluster::new(cfg.clone());
+    let (_, c, _) = cluster::run_counted_stats(
+        &cfg,
         // Tenant 0: 20 Gbps, tenant 1: 10 Gbps of payload admission.
-        c.set_tenant_limits(vec![gbps(20.0), gbps(10.0)]);
-        let end = cfg.warmup + cfg.measure;
-        let mut sim = simkit::Simulation::new(c);
-        for slot in 0..cfg.outstanding as u32 {
-            sim.schedule_at(Time::from_ps(200_000 * slot as u64 + 1), Ev::Issue(slot));
-        }
-        sim.schedule_at(cfg.warmup, Ev::WarmupEnd);
-        sim.schedule_at(end, Ev::RunEnd);
-        sim.run();
-        let c = sim.into_world();
-        counts.extend_from_slice(&c.tenant_done);
-        c.metrics.ingest.rate_gbps(end)
-    };
+        |c| c.set_tenant_limits(vec![gbps(20.0), gbps(10.0)]),
+        None,
+    );
+    let counts = c.tenant_done.clone();
+    let report = c.metrics.ingest.rate_gbps(cfg.warmup + cfg.measure);
     assert_eq!(counts.len(), 2);
     let ratio = counts[0] as f64 / counts[1] as f64;
     assert!(

@@ -14,9 +14,11 @@ fn quick(design: Design) -> RunConfig {
 #[test]
 fn mixed_workload_serves_both_directions() {
     for design in [Design::CpuOnly, Design::SmartDs { ports: 1 }] {
-        let report = cluster::run_with(&quick(design), |c| {
-            c.set_read_fraction(1.0 / 6.0); // writes:reads = 5:1
-        });
+        let (report, _, _) = cluster::run_counted_stats(
+            &quick(design),
+            |c| c.set_read_fraction(1.0 / 6.0), // writes:reads = 5:1
+            None,
+        );
         assert!(report.writes_done > 1_000, "{design}: {}", report.writes_done);
         // Reads happened and completed (ops > writes).
         assert!(
@@ -32,9 +34,8 @@ fn reads_are_cheaper_than_writes_for_the_cpu_design() {
     // replication, so a read-heavy CPU-only middle tier pushes more
     // requests/s than a write-only one.
     let writes_only = cluster::run(&quick(Design::CpuOnly));
-    let read_heavy = cluster::run_with(&quick(Design::CpuOnly), |c| {
-        c.set_read_fraction(0.8);
-    });
+    let (read_heavy, _, _) =
+        cluster::run_counted_stats(&quick(Design::CpuOnly), |c| c.set_read_fraction(0.8), None);
     assert!(
         read_heavy.iops > writes_only.iops * 1.3,
         "read-heavy {:.0} IOPS vs write-only {:.0} IOPS",

@@ -65,7 +65,7 @@ fn dedup_shrinks_stored_bytes_on_a_dup_heavy_corpus() {
         let cfg = quick(42)
             .with_corpus_profile(profile)
             .with_services(ServicesConfig::paper());
-        let (_, cl) = cluster::run_full(&cfg, |_| {});
+        let (_, cl, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
         cl.service_stats().expect("services on")
     };
     let redundant = run(corpus::Profile::redundant());
@@ -99,7 +99,7 @@ fn dedup_shrinks_stored_bytes_on_a_dup_heavy_corpus() {
 #[test]
 fn stored_containers_decrypt_to_exact_pool_payloads() {
     let cfg = quick(43).with_services(ServicesConfig::paper().with_cache(0, 0));
-    let (_, cl) = cluster::run_full(&cfg, |_| {});
+    let (_, cl, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
     let svc = cl.services().expect("services on");
     // The cluster's pool is reproducible from the config alone.
     let w = Workload::new(hwmodel::consts::BLOCK_SIZE, cfg.pool_blocks, cfg.seed);
@@ -127,7 +127,7 @@ fn cache_hits_serve_reads_from_the_middle_tier() {
     let run = |svc: ServicesConfig| {
         let mut cfg = quick(44).with_services(svc);
         cfg.zipf_theta = Some(0.99);
-        let (_, cl) = cluster::run_full(&cfg, |c| c.set_read_fraction(0.5));
+        let (_, cl, _) = cluster::run_counted_stats(&cfg, |c| c.set_read_fraction(0.5), None);
         let p50 = cl.metrics.read_latency.quantile(0.5);
         (cl.service_stats().expect("services on"), p50)
     };
@@ -161,10 +161,14 @@ fn cache_hits_serve_reads_from_the_middle_tier() {
 fn sequential_scan_drives_prefetch() {
     let mut cfg = quick(46).with_services(ServicesConfig::paper().with_cache(16, 2));
     cfg.zipf_theta = None;
-    let (_, cl) = cluster::run_full(&cfg, |c| {
-        c.set_read_fraction(0.5);
-        c.set_sequential_span(48);
-    });
+    let (_, cl, _) = cluster::run_counted_stats(
+        &cfg,
+        |c| {
+            c.set_read_fraction(0.5);
+            c.set_sequential_span(48);
+        },
+        None,
+    );
     let s = cl.service_stats().expect("services on");
     assert!(s.prefetch_issued > 50, "prefetch issued: {}", s.prefetch_issued);
     assert!(
@@ -203,7 +207,7 @@ fn placement_never_changes_sealed_bytes() {
     // And each placement's cluster run really moves data end to end.
     for p in [Placement::Host, Placement::Soc, Placement::Engine] {
         let cfg = quick(45).with_services(ServicesConfig::paper().with_placement(p));
-        let (report, cl) = cluster::run_full(&cfg, |_| {});
+        let (report, cl, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
         let s = cl.service_stats().expect("services on");
         assert!(report.writes_done > 0, "{p:?}: no writes completed");
         assert!(s.seals > 0, "{p:?}: nothing sealed");

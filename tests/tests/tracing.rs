@@ -63,8 +63,8 @@ fn traced_chaos_run_replays_byte_identically() {
     let plan = FaultPlan::chaos(seed, &spec);
     let mut cfg = traced_base(Design::SmartDs { ports: 1 }, 16).with_fault_plan(plan);
     cfg.seed = seed;
-    let (_, cluster_a) = cluster::run_full(&cfg, |_| {});
-    let (_, cluster_b) = cluster::run_full(&cfg, |_| {});
+    let (_, cluster_a, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
+    let (_, cluster_b, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
     let a = cluster_a.tracer.export_chrome();
     let b = cluster_b.tracer.export_chrome();
     assert!(
@@ -82,7 +82,7 @@ fn stage_breakdown_partitions_end_to_end_write_latency() {
     // means must sum to the end-to-end mean — including retries, which
     // stay inside the replicate segment.
     let cfg = traced_base(Design::SmartDs { ports: 1 }, 1);
-    let (report, _) = cluster::run_full(&cfg, |_| {});
+    let (report, _, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
     assert_eq!(report.stage_table.len(), 5, "five segments: {:?}", report.stage_table);
     let total: f64 = report.stage_table.iter().map(|r| r.mean_us).sum();
     assert!(
@@ -105,7 +105,7 @@ fn spans_overlapping_a_crash_carry_fault_annotations() {
     let plan = FaultPlan::new().at(at_ms(4.0), FaultKind::ServerCrash { server: 2 });
     let mut cfg = traced_base(Design::SmartDs { ports: 1 }, 1).with_fault_plan(plan);
     cfg.measure = Time::from_ms(3.0);
-    let (report, cluster) = cluster::run_full(&cfg, |_| {});
+    let (report, cluster, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
     assert!(report.failovers > 0, "dead-server appends must fail over");
     let annotated: Vec<&Span> = cluster
         .tracer
@@ -141,7 +141,7 @@ fn chrome_export_round_trips_through_the_json_parser() {
     let seed = chaos_seed();
     let mut cfg = traced_base(Design::SmartDs { ports: 1 }, 8);
     cfg.seed = seed;
-    let (_, cluster) = cluster::run_full(&cfg, |_| {});
+    let (_, cluster, _) = cluster::run_counted_stats(&cfg, |_| {}, None);
     let tracer = &cluster.tracer;
     assert_eq!(tracer.open_count(), 0, "RunEnd must close every span");
     assert_eq!(tracer.opened(), tracer.closed(), "balanced open/close");
