@@ -15,6 +15,10 @@ cargo build --release --offline
 # benchmark fails here.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# Clippy gate: every target of the workspace (libs, bins, tests, benches,
+# examples) must be free of clippy warnings.
+cargo clippy --release --offline --workspace --all-targets -- -D warnings
+
 # Static analysis first: simlint (crates/lintkit) enforces the
 # determinism, zero-dependency, and shard-safety invariants; exit 1 on any
 # violation. The second invocation smoke-tests the machine-readable output

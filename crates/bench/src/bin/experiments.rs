@@ -8,7 +8,7 @@
 
 use smartds_bench::{
     breakdown, csv, curve, degraded, fig4, json, loc, perf, reads, scale, sec55, services, soc,
-    stages, sweeps, table1, table3, tco, Profile,
+    sweeps, table1, table3, tco, Profile,
 };
 use std::path::PathBuf;
 
@@ -98,12 +98,6 @@ fn main() {
         println!();
         ran = true;
     }
-    if which == "stages" || which == "all" {
-        let r = stages::run(profile);
-        save("stages", &r);
-        println!();
-        ran = true;
-    }
     if which == "breakdown" || which == "all" {
         let r = breakdown::run(profile);
         save("breakdown", &r);
@@ -162,7 +156,7 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown experiment '{which}'; expected one of: \
-             table1 table3 fig4 fig7 fig8 fig9 fig10 sec55 soc curve tco stages breakdown reads \
+             table1 table3 fig4 fig7 fig8 fig9 fig10 sec55 soc curve tco breakdown reads \
              degraded loc perf perf-diff scale services all"
         );
         std::process::exit(2);

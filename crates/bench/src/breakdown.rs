@@ -1,11 +1,14 @@
-//! **Extension**: the tracekit per-stage latency table (mean/p99/p999).
+//! **Extension**: the tracekit per-stage latency table (mean/p99/p999) —
+//! where a write's time goes, per middle-tier design.
 //!
-//! Supersedes the cumulative milestone means in [`crate::stages`]: the five
-//! segments (ingress → parse → compress → replicate → ack) *partition* each
-//! write's issue-to-ack time, so the segment means sum to the end-to-end
-//! mean write latency, and the tail columns show which stage owns the p999.
-//! Tracing is enabled (sampled) so the same runs also exercise the span
-//! pipeline the Chrome exporter feeds on.
+//! The five segments (ingress → parse → compress → replicate → ack)
+//! *partition* each write's issue-to-ack time, so the segment means sum to
+//! the end-to-end mean write latency, a prefix of them is the mean time to
+//! that milestone, and the tail columns show which stage owns the p999. The
+//! CPU design spends its time in the compression queue; SmartDS's write is
+//! dominated by the storage round trip it cannot avoid. Tracing is enabled
+//! (sampled) so the same runs also exercise the span pipeline the Chrome
+//! exporter feeds on.
 
 use crate::pool::run_parallel;
 use crate::Profile;
@@ -77,7 +80,7 @@ mod tests {
             }
         }
         // SmartDS compresses in hardware: its compress segment must be far
-        // cheaper than the CPU design's software LZ4 + queueing.
+        // cheaper than the CPU design's software LZ4 + queueing...
         let (cpu, sds) = (&reports[0], &reports[1]);
         let seg = |r: &RunReport, name: &str| {
             r.stage_table
@@ -91,6 +94,31 @@ mod tests {
             "compress segment: cpu {:.1} µs vs smartds {:.1} µs",
             seg(cpu, "compress"),
             seg(sds, "compress")
+        );
+        // ...so CPU-only reaches the compressed milestone (issue → end of
+        // compress) far later than SmartDS...
+        let compressed = |r: &RunReport| seg(r, "ingress") + seg(r, "parse") + seg(r, "compress");
+        assert!(
+            compressed(cpu) > 2.0 * compressed(sds),
+            "compressed milestone: cpu {:.1} µs vs smartds {:.1} µs",
+            compressed(cpu),
+            compressed(sds)
+        );
+        // ...SmartDS's host-software leg is sub-µs control work, the
+        // flexibility AAMS pays for in full...
+        assert!(
+            seg(sds, "parse") < 2.0,
+            "SmartDS parse leg {:.2} µs",
+            seg(sds, "parse")
+        );
+        // ...and its replicate leg (the unavoidable storage round trip) is
+        // shorter than CPU-only's, whose egress queues behind the deeper
+        // backlog.
+        assert!(
+            seg(sds, "replicate") < seg(cpu, "replicate"),
+            "replicate legs: smartds {:.1} µs vs cpu {:.1} µs",
+            seg(sds, "replicate"),
+            seg(cpu, "replicate")
         );
     }
 }

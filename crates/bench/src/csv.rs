@@ -30,10 +30,6 @@ pub const RUN_REPORT_COLUMNS: &[&str] = &[
     "compression_ratio",
     "compactions",
     "failovers",
-    "stage_ingested_us",
-    "stage_parsed_us",
-    "stage_compressed_us",
-    "stage_replicated_us",
 ];
 
 /// Renders reports as CSV text (header + one row per report).
@@ -67,10 +63,6 @@ pub fn render_reports(reports: &[RunReport]) -> String {
             format!("{:.4}", r.compression_ratio),
             r.compactions.to_string(),
             r.failovers.to_string(),
-            format!("{:.3}", r.stage_means_us[0]),
-            format!("{:.3}", r.stage_means_us[1]),
-            format!("{:.3}", r.stage_means_us[2]),
-            format!("{:.3}", r.stage_means_us[3]),
         ];
         out.push_str(&row.join(","));
         out.push('\n');

@@ -18,7 +18,6 @@
 //! | soc    | §3.4 SoC-SmartNIC feasibility           | [`soc::run`] |
 //! | curve  | extension: open-loop latency vs load    | [`curve::run`] |
 //! | tco    | motivation: fleet size and TCO          | [`tco::run`] |
-//! | stages | extension: write-latency breakdown      | [`stages::run`] |
 //! | breakdown | extension: traced per-stage table    | [`breakdown::run`] |
 //! | reads  | extension: read-only workload           | [`reads::run`] |
 //! | degraded | extension: faults & degraded mode     | [`degraded::run`] |
@@ -44,7 +43,6 @@ pub mod scale;
 pub mod sec55;
 pub mod services;
 pub mod soc;
-pub mod stages;
 pub mod sweeps;
 pub mod table1;
 pub mod table3;

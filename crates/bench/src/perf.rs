@@ -140,9 +140,6 @@ fn sweep_dense(profile: Profile, seed: u64, threads: usize) -> PerfRow {
             let mut cfg = windows(profile, RunConfig::saturating(Design::SmartDs { ports }));
             cfg.outstanding = 256 * ports;
             cfg.seed = seed;
-            // Fair-weather row: sync with the pair-lookahead matrix
-            // (identical schedule, fewer rounds).
-            let cfg = cfg.with_sync_matrix();
             // One engine thread per job: the pool is the parallelism here,
             // so `threads` is the whole host budget for this row.
             let (report, _, stats) = cluster::run_counted_stats(&cfg, |_| {}, Some(1));
@@ -209,12 +206,10 @@ fn breakdown(profile: Profile, seed: u64, threads: usize) -> PerfRow {
     let (wall_ms, (stats, requests)) = timed(|| {
         let mut cfg = windows(profile, RunConfig::saturating(Design::SmartDs { ports: 1 }));
         cfg.seed = seed;
-        let cfg = cfg
-            .with_trace(tracekit::TraceConfig {
-                sample_one_in: 1,
-                capacity: 1 << 17,
-            })
-            .with_sync_matrix();
+        let cfg = cfg.with_trace(tracekit::TraceConfig {
+            sample_one_in: 1,
+            capacity: 1 << 17,
+        });
         let (report, _, stats) = cluster::run_counted_stats(&cfg, |_| {}, Some(threads));
         (stats, report.writes_done)
     });

@@ -93,7 +93,7 @@ fn base_cfg(profile: Profile, seed: u64, mix: &corpus::Profile) -> RunConfig {
     cfg.outstanding = 64;
     cfg.cores = 4;
     cfg.zipf_theta = Some(0.99);
-    cfg.with_corpus_profile(mix.clone())
+    cfg.with_corpus_profile(*mix)
 }
 
 fn run_cell(

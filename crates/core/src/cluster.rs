@@ -355,7 +355,9 @@ pub struct Cluster {
     /// otherwise allocate one box per backoff. Hub-local only — the
     /// ticket is both produced and consumed on the hub shard, so the
     /// recycling never crosses a thread (cross-shard payloads like
-    /// `StorePayload` cannot pool this way).
+    /// `StorePayload` cannot pool this way). The boxes themselves are the
+    /// pooled resource, hence `Vec<Box<_>>`.
+    #[allow(clippy::vec_box)]
     retry_boxes: Vec<Box<RetryTicket>>,
     mem_gate: MemGate,
     warmup_traffic: crate::fabric::Traffic,
@@ -2103,6 +2105,19 @@ impl ShardWorld for ClusterShard {
     }
 }
 
+/// Whether a run can defer a barrier operation: the snapshot service
+/// ([`Ev::GlobalSnapshot`], every `snapshot_period`) or a post-restart
+/// scrub ([`Ev::GlobalScrub`], on a planned `ServerRestart`). These need
+/// every shard paused at one horizon, so such runs keep the flat window.
+fn defers_barrier_ops(cfg: &RunConfig) -> bool {
+    cfg.snapshot_period.is_some()
+        || cfg
+            .fault_plan
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::ServerRestart { .. }))
+}
+
 /// Barrier operation: post-restart recovery of `server`, scrubbing its
 /// chunk store against the hub's checksum index and restoring blocks it
 /// should hold (written while it was down, or rotted) from any live
@@ -2277,21 +2292,14 @@ pub fn run_counted_stats(
     // (the flat wire constant without one).
     let lookahead = cfg.lookahead();
     let mut sim = ShardedSim::new(cluster.split_for_shards(), lookahead);
-    if cfg.sync_matrix {
+    if !defers_barrier_ops(cfg) {
         // Messages only flow hub <-> store (stores never talk directly),
         // so the direct-latency matrix is a star: one wire hop to or from
         // shard 0, unreachable otherwise. The transitive closure then
         // gives store -> store (and every round trip) two hops, letting
         // store shards run up to a full extra wire beyond the flat
-        // window. Barrier operations are incompatible with the per-shard
-        // horizons; `with_sync_matrix` rejects configurations that defer
-        // them, and the engine panics if one slips through.
-        assert!(
-            cfg.fault_plan.is_empty()
-                && cfg.snapshot_period.is_none()
-                && cfg.topology.is_none(),
-            "sync_matrix set on a run that defers barrier operations"
-        );
+        // window. Barrier operations need a common horizon, so runs that
+        // can defer one keep the flat window.
         sim = sim.with_pair_lookahead(star_lookahead(num_servers, lookahead));
     }
     if let Some(t) = threads {
@@ -2359,9 +2367,9 @@ pub fn run_counted_stats(
 fn star_lookahead(servers: usize, lookahead: Time) -> Vec<Vec<Time>> {
     let n = 1 + servers;
     let mut direct = vec![vec![Time::MAX; n]; n];
-    for s in 1..n {
-        direct[0][s] = lookahead;
-        direct[s][0] = lookahead;
+    direct[0][1..].fill(lookahead);
+    for row in &mut direct[1..] {
+        row[0] = lookahead;
     }
     direct
 }
@@ -2420,52 +2428,48 @@ mod tests {
     }
 
     #[test]
-    fn sync_matrix_executes_the_flat_schedule_in_fewer_rounds() {
-        // The pair-lookahead matrix is a pure synchronization optimization:
-        // every simulated outcome must be bit-identical to the flat
-        // window's; only the round count may (and must) drop.
+    fn star_lookahead_executes_the_flat_schedule_in_fewer_rounds() {
+        // The star matrix is a pure synchronization optimization: every
+        // simulated outcome must be bit-identical to the flat window's;
+        // only the round count may (and must) drop.
         //
         // `RunEnd` stops the run after the window it lands in, and how far
         // the other shards got in that window depends on the window layout,
         // so event totals of a stopped run include a layout-dependent tail.
-        // The event accounting is therefore compared on drained runs, which
-        // execute the whole schedule.
+        // The comparison therefore runs drained, executing the whole
+        // schedule.
         let mut cfg = quick(Design::SmartDs { ports: 2 });
         cfg.outstanding = 128;
-        let (flat_report, _, flat) = run_counted_stats(&cfg, |_| {}, Some(2));
-        let flat_drained = run_drained(&cfg, 2);
-        let cfg = cfg.with_sync_matrix();
+        let (flat_metrics, flat) = run_drained(&cfg, 2, false);
         for threads in [1usize, 4] {
-            let (report, _, stats) = run_counted_stats(&cfg, |_| {}, Some(threads));
+            let (metrics, star) = run_drained(&cfg, threads, true);
             assert_eq!(
-                format!("{report:?}"),
-                format!("{flat_report:?}"),
-                "matrix changed the simulation"
+                metrics, flat_metrics,
+                "the star changed the drained metrics"
             );
+            assert_eq!(star.events, flat.events);
+            assert_eq!(star.messages, flat.messages);
             assert!(
-                stats.rounds < flat.rounds,
-                "matrix should cut rounds: {} vs flat {}",
-                stats.rounds,
+                star.rounds < flat.rounds,
+                "the star should cut rounds: {} vs flat {}",
+                star.rounds,
                 flat.rounds
             );
-            let drained = run_drained(&cfg, threads);
-            assert_eq!(drained.0, flat_drained.0, "matrix changed the drained metrics");
-            assert_eq!(drained.1.events, flat_drained.1.events);
-            assert_eq!(drained.1.messages, flat_drained.1.messages);
         }
     }
 
     /// Runs a fair-weather closed-loop `cfg` on the sharded engine with no
     /// `RunEnd` stop: issue ends at the end of the measurement window and
-    /// the run goes on until every request drains. Returns the metrics
+    /// the run goes on until every request drains. `star` selects the
+    /// hub-and-spoke pair matrix over the flat window. Returns the metrics
     /// (as `Debug` text) and the engine accounting.
-    fn run_drained(cfg: &RunConfig, threads: usize) -> (String, EngineStats) {
+    fn run_drained(cfg: &RunConfig, threads: usize, star: bool) -> (String, EngineStats) {
         let mut cluster = Cluster::new(cfg.clone());
         cluster.stop_issuing_at = cfg.warmup + cfg.measure;
         let servers = cluster.num_servers;
         let mut sim =
             ShardedSim::new(cluster.split_for_shards(), cfg.lookahead()).with_threads(threads);
-        if cfg.sync_matrix {
+        if star {
             sim = sim.with_pair_lookahead(star_lookahead(servers, cfg.lookahead()));
         }
         for slot in 0..cfg.outstanding as u32 {
@@ -2476,14 +2480,6 @@ mod tests {
         let stats = sim.stats();
         let cluster = Cluster::absorb_shards(sim.into_worlds());
         (format!("{:?}", cluster.metrics), stats)
-    }
-
-    #[test]
-    #[should_panic(expected = "sync_matrix requires a fair-weather")]
-    fn sync_matrix_rejects_runs_that_defer_barrier_operations() {
-        let _ = quick(Design::SmartDs { ports: 1 })
-            .with_fault(Time::from_ms(3.0), 0, false)
-            .with_sync_matrix();
     }
 
     #[test]

@@ -177,14 +177,6 @@ pub struct RunConfig {
     /// Single-profile corpus override for the payload pool (the services
     /// experiment's corpus knob). `None` keeps the Silesia mix.
     pub corpus_profile: Option<corpus::Profile>,
-    /// Synchronize shards with the per-(sender, receiver) lookahead
-    /// matrix instead of one global window (fewer sync rounds, identical
-    /// schedule). Opt-in — the matrix mode cannot run barrier operations,
-    /// so it is rejected for configurations that defer globals (server
-    /// faults, chaos plans, snapshots) or replace the flat wire with a
-    /// topology. Default off; the perf harness turns it on for its
-    /// fair-weather rows.
-    pub sync_matrix: bool,
 }
 
 impl RunConfig {
@@ -234,7 +226,6 @@ impl RunConfig {
             topology: None,
             services: None,
             corpus_profile: None,
-            sync_matrix: false,
         }
     }
 
@@ -394,24 +385,10 @@ impl RunConfig {
         self
     }
 
-    /// Opts in to pair-lookahead synchronization (see
-    /// [`RunConfig::sync_matrix`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration defers barrier operations (server
-    /// faults, a fault plan, snapshots) or uses a topology — those runs
-    /// must keep the flat window.
-    pub fn with_sync_matrix(mut self) -> Self {
-        assert!(
-            self.fault_plan.is_empty()
-                && self.snapshot_period.is_none()
-                && self.topology.is_none(),
-            "sync_matrix requires a fair-weather flat-wire run: \
-             faults, chaos plans, snapshots and topologies defer barrier \
-             operations or vary per-server latency"
-        );
-        self.sync_matrix = true;
+    /// No-op: every run that cannot defer a barrier operation already
+    /// synchronizes on the pair-lookahead matrix.
+    #[doc(hidden)]
+    pub fn with_sync_matrix(self) -> Self {
         self
     }
 

@@ -235,7 +235,7 @@ impl LoadGen {
         let rate = self.rate_bps(self.now);
         let mean_us = BLOCK_SIZE as f64 / rate * 1e6;
         let gap_ps = ((self.rng.gen_exp(mean_us) * 1e6) as u64).max(1);
-        self.now = self.now + Time::from_ps(gap_ps);
+        self.now += Time::from_ps(gap_ps);
         let tenant = self.zipf.draw(&mut self.rng);
         Arrival {
             at: self.now,

@@ -3,7 +3,7 @@
 use crate::fabric::Traffic;
 use simkit::json::Object;
 use simkit::{to_gbps, Histogram, Meter, Time};
-use tracekit::{rows_json, StageBreakdown, StageKind, StageRow};
+use tracekit::{rows_json, StageBreakdown, StageRow};
 
 /// Live metric collectors inside a running cluster.
 #[derive(Debug, Default)]
@@ -144,10 +144,6 @@ pub struct RunReport {
     pub write_failures: u64,
     /// Blocks re-replicated by post-restart scrub recovery.
     pub scrub_repairs: u64,
-    /// Mean time from issue to {ingested, parsed, compressed, replicated},
-    /// µs: cumulative prefix sums of the first four latency segments, kept
-    /// in the historical shape for the CSV/plot consumers.
-    pub stage_means_us: Vec<f64>,
     /// Full per-stage breakdown table (mean/p99/p999 per stage kind).
     pub stage_table: Vec<StageRow>,
 }
@@ -207,21 +203,6 @@ impl RunReport {
             aborts: metrics.aborts,
             write_failures: metrics.write_failures,
             scrub_repairs: metrics.scrub_repairs,
-            stage_means_us: {
-                // Cumulative issue→milestone means, as the old milestone
-                // histograms reported them: segment means are deltas, so the
-                // prefix sums recover issue→{ingested, parsed, compressed,
-                // replicated}.
-                let seg = metrics.breakdown.segment_means_us();
-                let mut acc = 0.0;
-                seg.iter()
-                    .take(StageKind::SEGMENT_COUNT - 1)
-                    .map(|m| {
-                        acc += m;
-                        acc
-                    })
-                    .collect()
-            },
             stage_table: metrics.breakdown.rows(),
         }
     }
@@ -259,7 +240,6 @@ impl RunReport {
             .field("aborts", self.aborts)
             .field("write_failures", self.write_failures)
             .field("scrub_repairs", self.scrub_repairs)
-            .field("stage_means_us", &self.stage_means_us)
             .field_raw("stage_table", &rows_json(&self.stage_table))
             .finish()
     }
@@ -372,6 +352,7 @@ impl ScaleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tracekit::StageKind;
 
     #[test]
     fn scale_stats_shape_and_totals() {
@@ -437,14 +418,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.starts_with("{\"label\":\"test\""), "{json}");
         assert!(json.contains("\"writes_done\":1"), "{json}");
-        assert!(json.contains("\"stage_means_us\":["), "{json}");
         assert!(json.contains("\"stage_table\":[{\"stage\":\"ingress\""), "{json}");
-        // Cumulative prefix sums of the segment means.
-        assert_eq!(r.stage_means_us.len(), 4);
-        let expect = [10.0, 15.0, 30.0, 42.0];
-        for (got, want) in r.stage_means_us.iter().zip(expect) {
-            assert!((got - want).abs() < 1e-6, "{:?}", r.stage_means_us);
-        }
         // The segment means sum to the end-to-end write latency.
         let total: f64 = m.breakdown.segment_means_us().iter().sum();
         assert!((total - r.avg_us).abs() < 0.5, "{total} vs {}", r.avg_us);

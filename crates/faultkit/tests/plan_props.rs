@@ -4,7 +4,7 @@
 
 use faultkit::{ChaosSpec, FaultKind, FaultPlan, PacketChaos, PacketFate};
 use simkit::Time;
-use testkit::gen::{self, Gen};
+use testkit::gen;
 
 fn spec_from(
     span_us: u32,

@@ -190,8 +190,8 @@ fn impl_type_name(code: &[&Token<'_>], i: usize, body: usize) -> String {
     // If a `for` appears at angle depth 0, the type follows it.
     let mut depth = 0i32;
     let mut start = j;
-    for k in j..body {
-        match (code[k].kind, code[k].text) {
+    for (k, tok) in code.iter().enumerate().take(body).skip(j) {
+        match (tok.kind, tok.text) {
             (TokenKind::Punct, "<") => depth += 1,
             (TokenKind::Punct, ">") => depth -= 1,
             (TokenKind::Ident, "for") if depth <= 0 => start = k + 1,

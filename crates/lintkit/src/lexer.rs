@@ -380,7 +380,7 @@ pub fn mark_test_regions(tokens: &mut [Token<'_>]) {
                     }
                     k += 1;
                 }
-                let is_test_attr = (saw_cfg && saw_test) || (saw_test && idents == 1);
+                let is_test_attr = saw_test && (saw_cfg || idents == 1);
                 if is_test_attr && depth == 0 {
                     mark_following_item(tokens, k);
                 }

@@ -235,14 +235,6 @@ impl<E> Scheduler<E> {
         self.globals.push(event);
     }
 
-    /// Whether this scheduler runs under the sharded engine (true) or a
-    /// plain sequential [`Simulation`] (false). Worlds that support both
-    /// modes use this to choose between [`Scheduler::send`] and a local
-    /// [`Scheduler::schedule_in`].
-    pub fn is_sharded(&self) -> bool {
-        self.remote.is_some()
-    }
-
     pub(crate) fn enable_remote(&mut self, shard: u32, lookahead: Time, shards: usize) {
         self.remote = Some((shard, lookahead));
         self.outboxes = (0..shards).map(|_| Vec::new()).collect();

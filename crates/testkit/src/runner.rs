@@ -265,7 +265,7 @@ mod tests {
 
         /// The macro front-end compiles and runs: tuples destructure.
         fn macro_front_end(a in gen::u8s(1..=9), b in gen::vecs(gen::bools(), 0..4)) {
-            assert!(a >= 1 && a <= 9);
+            assert!((1..=9).contains(&a));
             assert!(b.len() < 4);
         }
     }

@@ -261,7 +261,7 @@ mod tests {
         assert_eq!(a.hist(StageKind::Wire).mean(), t(20));
 
         use crate::span::{SpanId, TraceId};
-        let spans = vec![Span {
+        let spans = [Span {
             trace: TraceId(2),
             id: SpanId(1),
             parent: SpanId::NULL,

@@ -110,7 +110,7 @@ mod tests {
         );
         // The root closed after the fault mark, so it carries it too.
         let a1 = events[1].get("args").expect("args");
-        assert_eq!(a1.get("faults").and_then(|f| f.item(0)).is_some(), true);
+        assert!(a1.get("faults").and_then(|f| f.item(0)).is_some());
         assert_eq!(
             v.get("metadata").and_then(|m| m.get("spans")).and_then(Value::as_f64),
             Some(2.0)

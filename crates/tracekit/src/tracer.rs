@@ -86,7 +86,7 @@ impl Tracer {
     /// Head-sampling decision for a request's issue ordinal: a pure function
     /// of `(seed, ordinal)`, independent of tracer state.
     pub fn sampled(&self, ordinal: u64) -> bool {
-        self.on && mix(self.seed ^ mix(ordinal)) % self.sample_one_in == 0
+        self.on && mix(self.seed ^ mix(ordinal)).is_multiple_of(self.sample_one_in)
     }
 
     /// The trace id for a request by issue ordinal: null when unsampled,

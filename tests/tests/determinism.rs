@@ -198,11 +198,11 @@ fn same_fault_plan_seed_same_report_bytes() {
 
 #[test]
 fn equivalent_builder_paths_produce_identical_reports() {
-    // One fault channel, one load driver: builder calls that describe the
-    // same run must produce the same report bytes.
+    // One fault channel, one load driver, one sync rule: builder calls
+    // that describe the same run must produce the same report bytes.
     use faultkit::{FaultKind, FaultPlan};
     use simkit::Time;
-    use smartds::{LoadSpec, TopoLink};
+    use smartds::{LoadSpec, TopoLink, Topology};
 
     let base = quick(Design::SmartDs { ports: 1 });
     let load = LoadSpec::rack_default(12.0, base.warmup + base.measure);
@@ -233,6 +233,27 @@ fn equivalent_builder_paths_produce_identical_reports() {
             base.clone()
                 .with_fault_plan(restart)
                 .with_fault(Time::from_ms(2.0), 2, false),
+        ),
+        (
+            "with_sync_matrix is a no-op on a fault run",
+            base.clone()
+                .with_sync_matrix()
+                .with_fault(Time::from_ms(2.0), 2, false),
+            base.clone().with_fault(Time::from_ms(2.0), 2, false),
+        ),
+        (
+            "with_sync_matrix is a no-op on a snapshot run",
+            base.clone()
+                .with_sync_matrix()
+                .with_snapshots(Time::from_ms(1.0)),
+            base.clone().with_snapshots(Time::from_ms(1.0)),
+        ),
+        (
+            "with_sync_matrix is a no-op on a topology run",
+            base.clone()
+                .with_topology(Topology::new(2, 3))
+                .with_sync_matrix(),
+            base.clone().with_topology(Topology::new(2, 3)),
         ),
     ];
     for (what, a, b) in cases {

@@ -145,7 +145,7 @@ fn events_budget_sweep_seed_101() {
     let mut cfg = quick(RunConfig::saturating(Design::SmartDs { ports: 2 }));
     cfg.outstanding = 512;
     cfg.seed = 101;
-    // Recorded: payload=711_502 (54.2/req), sync=105_332 (8.0/req).
+    // Recorded: payload=711_502 (54.2/req), sync=105_238 (8.0/req).
     assert_budget(
         "sweep/101",
         &cfg,
@@ -208,7 +208,7 @@ fn allocation_budget_sweep_seed_101() {
         "alloc/101: allocs={allocs} events={} allocs/event={per_event:.3}",
         stats.events
     );
-    // Recorded: allocs=330_247 (0.93/event) — the engine itself (wheel,
+    // Recorded: allocs=330_319 (0.93/event) — the engine itself (wheel,
     // mailboxes, windows) is allocation-free in steady state; what
     // remains is model work that owns real buffers (an LZ4 output and a
     // stored-block copy per replica, request bookkeeping). The ceiling
@@ -336,7 +336,7 @@ fn events_budget_traced_seed_303() {
         sample_one_in: 1,
         capacity: 1 << 17,
     });
-    // Recorded: payload=308_862 (54.9/req), sync=47_288 (8.4/req).
+    // Recorded: payload=308_841 (54.9/req), sync=47_107 (8.4/req).
     assert_budget(
         "traced/303",
         &cfg,

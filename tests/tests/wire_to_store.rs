@@ -32,7 +32,7 @@ fn pump(
         if let Some(pkt) = client.poll_tx(qpn) {
             idle = 0;
             n += 1;
-            if drop_every > 0 && n % drop_every == 0 {
+            if drop_every > 0 && n.is_multiple_of(drop_every) {
                 continue;
             }
             let (ctrl, mut evs) = server.on_data(qpn, &pkt);
