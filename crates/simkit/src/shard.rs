@@ -58,22 +58,31 @@
 //!
 //! # Costs
 //!
-//! Each round is two barrier crossings plus one outbox merge; the engine
-//! reports [`EngineStats`] (payload events vs. synchronization rounds and
-//! messages) so perf budgets can cap protocol overhead separately from
-//! model work. With one worker thread the engine skips the scoped-thread
-//! machinery entirely — no spawns, no barriers, no atomics — and sweeps
-//! the shards inline; the executed schedule is byte-identical by
-//! construction and pinned by a test. Cross-shard traffic moves through
-//! per-(sender, receiver) growable buffers that are swapped, drained, and
-//! swapped back each epoch, so the mailbox path allocates nothing in
-//! steady state.
+//! Each round is one horizon computation and one outbox merge, both on
+//! the coordinator thread. On the scoped path a round gate hands the
+//! window to the workers: the coordinator publishes the horizons, bumps a
+//! generation counter and unparks the workers; each waits by spinning,
+//! then yielding, then parking, and counts itself finished. Rounds in
+//! which no worker-owned shard has an event due run on the coordinator
+//! alone, without waking anyone. The engine reports [`EngineStats`]
+//! (payload events vs. synchronization rounds and messages) so perf
+//! budgets can cap protocol overhead separately from model work. With
+//! one worker thread the engine skips the scoped-thread machinery
+//! entirely — no spawns, no gate, no atomics — and sweeps the shards
+//! inline; the executed schedule is byte-identical by construction and
+//! pinned by a test. Cross-shard traffic moves through per-(sender,
+//! receiver) growable buffers that are swapped, drained, and swapped back
+//! each epoch, so the mailbox path allocates nothing in steady state.
+//!
+//! A panic on any engine thread ends the run with that panic's payload;
+//! no thread is left waiting on the gate.
 
 use crate::engine::{Outgoing, Scheduler, World};
 use crate::sanitizer;
 use crate::time::Time;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 
 /// A world that can run as one shard of a [`ShardedSim`].
 ///
@@ -106,8 +115,9 @@ pub struct EngineStats {
 
 /// Thread count from `SMARTDS_THREADS`, defaulting to 1 (sequential).
 ///
-/// Parallel execution is opt-in: tiny simulations are dominated by barrier
-/// wake-ups, so the engine never silently fans out.
+/// Parallel execution is opt-in: it pays only when the shards' work per
+/// round outweighs the round gate's hand-off (and the host has the cores),
+/// so the engine never silently fans out.
 pub fn env_threads() -> usize {
     std::env::var("SMARTDS_THREADS")
         .ok()
@@ -142,6 +152,10 @@ pub struct ShardedSim<W: ShardWorld> {
     /// sequence the property suite asserts is thread-invariant.
     #[cfg(test)]
     epoch_log: Vec<u64>,
+    /// Rounds in which the scoped path woke its workers (the rest ran on
+    /// the coordinator alone).
+    #[cfg(test)]
+    dispatched: u64,
 }
 
 fn lock<W: ShardWorld>(cell: &Mutex<Cell<W>>) -> MutexGuard<'_, Cell<W>> {
@@ -215,6 +229,8 @@ where
             mail: (0..n * n).map(|_| Vec::new()).collect(),
             #[cfg(test)]
             epoch_log: Vec::new(),
+            #[cfg(test)]
+            dispatched: 0,
         }
     }
 
@@ -321,7 +337,7 @@ where
     }
 
     /// The single-thread path: an inline sweep over the shards with no
-    /// worker spawns, no barrier crossings, and no atomics. Rounds,
+    /// worker spawns, no round gate, and no atomics. Rounds,
     /// horizons, and the merge are computed by the same helpers as the
     /// scoped path, so the executed schedule is identical by construction
     /// (and pinned by the `inline_and_scoped_paths_are_byte_identical`
@@ -348,14 +364,33 @@ where
         }
     }
 
-    /// The multi-thread path: workers sweep strided shard subsets between
-    /// two barrier crossings per round; the coordinator computes horizons
-    /// and merges mailboxes in between.
+    /// The multi-thread path. Worker `w` owns shards `w, w + threads, …`;
+    /// the coordinator (the calling thread) owns the rest, including the
+    /// hub at shard 0. Each round the coordinator computes horizons,
+    /// opens the [`Gate`] if any worker-owned shard has an event due
+    /// before its horizon, runs its own shards, waits for the workers it
+    /// woke, and merges the mailboxes alone. A round with nothing due on
+    /// a worker-owned shard runs on the coordinator without waking
+    /// anyone: `run_window` on such a shard is a no-op, so horizons,
+    /// merge order, rounds, and messages are the inline path's.
+    ///
+    /// A panic on any engine thread ends the run with that panic's own
+    /// payload. An unwinding worker poisons the gate and wakes the
+    /// coordinator, which closes the gate, joins the workers, and resumes
+    /// the worker's unwind; a coordinator panic closes the gate through
+    /// [`Opener`]'s drop, so the workers exit and the scope re-raises the
+    /// coordinator's payload.
     fn run_scoped(&mut self, threads: usize) {
         let n = self.cells.len();
-        let barrier = Barrier::new(threads);
+        let workers = threads - 1;
+        let gate = Gate {
+            generation: AtomicU64::new(0),
+            finished: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
+            coordinator: std::thread::current(),
+        };
         let horizon_ps: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let done = AtomicBool::new(false);
         let cells = &self.cells;
         let matrix = &self.matrix;
         let mut mail = std::mem::take(&mut self.mail);
@@ -365,24 +400,35 @@ where
         let mut horizons: Vec<Time> = vec![Time::ZERO; n];
         #[cfg(test)]
         let mut epochs: Vec<u64> = Vec::new();
+        #[cfg(test)]
+        let mut dispatched = 0u64;
         std::thread::scope(|scope| {
-            for w in 1..threads {
-                let barrier = &barrier;
-                let horizon_ps = &horizon_ps;
-                let done = &done;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    for i in (w..n).step_by(threads) {
-                        let h = Time::from_ps(horizon_ps[i].load(Ordering::Acquire));
-                        run_window(i as u32, &mut lock(&cells[i]), h);
-                    }
-                    sanitizer::exit_parallel();
-                    barrier.wait();
-                });
-            }
+            // Built before the first spawn, so even a failed spawn closes
+            // the gate for the workers already running.
+            let mut opener = Opener {
+                gate: &gate,
+                workers: Vec::with_capacity(workers),
+            };
+            let handles: Vec<_> = (1..threads)
+                .map(|w| {
+                    let (gate, horizon_ps) = (&gate, &horizon_ps);
+                    let handle = scope.spawn(move || {
+                        let _poison = PoisonOnUnwind(gate);
+                        let mut seen = 0;
+                        while let Some(generation) = gate.next_round(seen) {
+                            seen = generation;
+                            for i in (w..n).step_by(threads) {
+                                let h = Time::from_ps(horizon_ps[i].load(Ordering::Acquire));
+                                run_window(i as u32, &mut lock(&cells[i]), h);
+                            }
+                            sanitizer::exit_parallel();
+                            gate.finish(workers);
+                        }
+                    });
+                    opener.workers.push(handle.thread().clone());
+                    handle
+                })
+                .collect();
             loop {
                 if !compute_horizons(cells, matrix, &mut next, &mut horizons) {
                     break;
@@ -390,28 +436,178 @@ where
                 rounds += 1;
                 #[cfg(test)]
                 epochs.extend(horizons.iter().map(|h| h.as_ps()));
-                for (slot, h) in horizon_ps.iter().zip(&horizons) {
-                    slot.store(h.as_ps(), Ordering::Release);
+                let dispatch =
+                    (0..n).any(|i| i % threads != 0 && next[i].is_some_and(|t| t < horizons[i]));
+                if dispatch {
+                    #[cfg(test)]
+                    {
+                        dispatched += 1;
+                    }
+                    for (slot, h) in horizon_ps.iter().zip(&horizons) {
+                        slot.store(h.as_ps(), Ordering::Release);
+                    }
+                    opener.open_round();
                 }
-                barrier.wait();
                 for i in (0..n).step_by(threads) {
                     run_window(i as u32, &mut lock(&cells[i]), horizons[i]);
                 }
                 sanitizer::exit_parallel();
-                barrier.wait();
+                if dispatch && !gate.await_workers(workers) {
+                    break;
+                }
                 let stop = merge_windows(cells, &horizons, &mut mail, &mut messages);
                 if stop {
                     break;
                 }
             }
-            done.store(true, Ordering::Release);
-            barrier.wait();
+            drop(opener);
+            // Joining here, rather than leaving it to the scope, keeps a
+            // worker's own panic payload: the scope would replace it with
+            // "a scoped thread panicked".
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
         });
         self.mail = mail;
         self.rounds += rounds;
         self.messages += messages;
         #[cfg(test)]
-        self.epoch_log.append(&mut epochs);
+        {
+            self.epoch_log.append(&mut epochs);
+            self.dispatched += dispatched;
+        }
+    }
+}
+
+/// Spin-loop iterations a waiting engine thread burns before it parks.
+/// A round's work is a few microseconds, so a waiter that spins this long
+/// usually sees the next signal without a futex sleep and wake. An
+/// iteration count, not a clock: the wait never reads wall time.
+const SPIN_LIMIT: u32 = 2_048;
+
+/// A spinning waiter yields its core every this many iterations, so an
+/// oversubscribed host (more engine threads than cores) still runs the
+/// thread it waits for.
+const YIELD_EVERY: u32 = 64;
+
+/// Spins, then yields, then parks until `ready` holds. Whoever makes
+/// `ready` true must `unpark` the waiting thread afterwards; an unpark
+/// that lands before the park leaves a token, so it is never lost, and
+/// `ready` is checked again after every `park` return, so a spurious or
+/// stale wake is harmless.
+fn wait_until(mut ready: impl FnMut() -> bool) {
+    let mut spins = 0u32;
+    while !ready() {
+        if spins < SPIN_LIMIT {
+            spins += 1;
+            if spins.is_multiple_of(YIELD_EVERY) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        } else {
+            std::thread::park();
+        }
+    }
+}
+
+/// The round gate between the coordinator and the scoped workers.
+///
+/// Orderings: the coordinator resets `finished` and publishes the
+/// horizons before its `Release` bump of `generation`, and a worker
+/// reads them after its `Acquire` load sees the bump; `closed` is stored
+/// before the closing bump the same way. Cell state itself moves
+/// between threads under the cells' mutexes.
+struct Gate {
+    /// Bumped by the coordinator to open a round (and once more to close
+    /// the gate); each worker waits for a value it has not seen.
+    generation: AtomicU64,
+    /// Workers done with the current round.
+    finished: AtomicUsize,
+    /// The run is over; set before the closing bump.
+    closed: AtomicBool,
+    /// A worker is unwinding.
+    poisoned: AtomicBool,
+    /// The thread that runs the rounds, woken by the last finisher and
+    /// by a poisoning worker.
+    coordinator: Thread,
+}
+
+impl Gate {
+    /// Worker side: waits for a round newer than `seen` and returns its
+    /// generation, or `None` once the gate is closed.
+    fn next_round(&self, seen: u64) -> Option<u64> {
+        let mut generation = seen;
+        wait_until(|| {
+            generation = self.generation.load(Ordering::Acquire);
+            generation != seen
+        });
+        (!self.closed.load(Ordering::Acquire)).then_some(generation)
+    }
+
+    /// Worker side: reports this worker's shards done for the round.
+    fn finish(&self, workers: usize) {
+        if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == workers {
+            self.coordinator.unpark();
+        }
+    }
+
+    /// Coordinator side: waits until every worker finished the round;
+    /// returns `false` instead if a worker panicked.
+    fn await_workers(&self, workers: usize) -> bool {
+        wait_until(|| {
+            self.finished.load(Ordering::Acquire) == workers
+                || self.poisoned.load(Ordering::Acquire)
+        });
+        !self.poisoned.load(Ordering::Acquire)
+    }
+}
+
+/// The coordinator's side of the [`Gate`]. Dropping it closes the gate
+/// and wakes every worker — at the end of the run, and equally while the
+/// coordinator unwinds, so a coordinator panic never strands a worker.
+struct Opener<'a> {
+    gate: &'a Gate,
+    workers: Vec<Thread>,
+}
+
+impl Opener<'_> {
+    /// Opens a round: every worker runs its shards to the published
+    /// horizons.
+    fn open_round(&self) {
+        self.gate.finished.store(0, Ordering::Relaxed);
+        self.bump();
+    }
+
+    /// Publishes a new generation and wakes every worker. `unpark` is one
+    /// atomic swap on a thread that is not parked.
+    fn bump(&self) {
+        self.gate.generation.fetch_add(1, Ordering::Release);
+        for t in &self.workers {
+            t.unpark();
+        }
+    }
+}
+
+impl Drop for Opener<'_> {
+    fn drop(&mut self) {
+        self.gate.closed.store(true, Ordering::Relaxed);
+        self.bump();
+    }
+}
+
+/// Held by each worker: if the worker unwinds, poisons the [`Gate`] and
+/// wakes the coordinator so it stops waiting for the round.
+struct PoisonOnUnwind<'a>(&'a Gate);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+            self.0.coordinator.unpark();
+        }
     }
 }
 
@@ -689,8 +885,7 @@ mod tests {
         threads: usize,
         matrix: Option<Vec<Vec<Time>>>,
     ) -> (Vec<Node>, EngineStats, Vec<u64>, Vec<u64>) {
-        let mut sim =
-            ShardedSim::new(build_worlds(stores), LOOKAHEAD).with_threads(threads);
+        let mut sim = ShardedSim::new(build_worlds(stores), LOOKAHEAD).with_threads(threads);
         if let Some(m) = matrix {
             sim = sim.with_pair_lookahead(m);
         }
@@ -859,39 +1054,120 @@ mod tests {
         m
     }
 
-    /// The single-thread inline sweep and the scoped-thread machinery
-    /// driven with one worker must produce byte-identical results: same
-    /// logs, completions, executed counts, stats, and epoch sequence.
+    /// The single-thread inline sweep and the scoped-thread machinery,
+    /// driven with one and with two threads, must produce byte-identical
+    /// results: same logs, completions, executed counts, stats, and epoch
+    /// sequence.
     #[test]
     fn inline_and_scoped_paths_are_byte_identical() {
         let script = fixed_script(STORES);
-        let run = |scoped: bool| {
-            let mut sim =
-                ShardedSim::new(build_worlds(STORES), LOOKAHEAD).with_threads(1);
+        let run = |scoped: Option<usize>| {
+            let mut sim = ShardedSim::new(build_worlds(STORES), LOOKAHEAD).with_threads(1);
             for (shard, at, ev) in &script {
                 sim.schedule_at(*shard, Time::from_ps(*at), ev.clone());
             }
-            if scoped {
-                sim.run_scoped(1);
-            } else {
-                sim.run(); // threads = 1: takes the inline path
+            match scoped {
+                Some(threads) => sim.run_scoped(threads),
+                None => sim.run(), // threads = 1: takes the inline path
             }
             let stats = sim.stats();
             let epochs = sim.epoch_log.clone();
             let worlds = sim.into_worlds();
             (worlds, stats, epochs)
         };
-        let (w_inline, stats_inline, epochs_inline) = run(false);
-        let (w_scoped, stats_scoped, epochs_scoped) = run(true);
-        assert_eq!(stats_inline, stats_scoped, "stats drifted inline vs scoped");
-        assert_eq!(epochs_inline, epochs_scoped, "epochs drifted inline vs scoped");
-        for (i, (a, b)) in w_inline.iter().zip(&w_scoped).enumerate() {
-            assert_eq!(a.log, b.log, "shard {i} log drifted inline vs scoped");
+        let (w_inline, stats_inline, epochs_inline) = run(None);
+        for threads in [1, 2] {
+            let (w_scoped, stats_scoped, epochs_scoped) = run(Some(threads));
             assert_eq!(
-                a.completions, b.completions,
-                "shard {i} completions drifted inline vs scoped"
+                stats_inline, stats_scoped,
+                "threads={threads}: stats drifted"
             );
+            assert_eq!(
+                epochs_inline, epochs_scoped,
+                "threads={threads}: epochs drifted"
+            );
+            for (i, (a, b)) in w_inline.iter().zip(&w_scoped).enumerate() {
+                assert_eq!(a.log, b.log, "threads={threads}: shard {i} log drifted");
+                assert_eq!(
+                    a.completions, b.completions,
+                    "threads={threads}: shard {i} completions drifted"
+                );
+            }
         }
+    }
+
+    /// The round gate wakes the workers only in rounds where a
+    /// worker-owned shard has an event due. Skipping the others must not
+    /// move anything the inline run records, and on the hub/store script
+    /// some rounds do skip (the hub alone is busy) while others dispatch.
+    /// Eight threads exceed the shard count and are capped to it.
+    #[test]
+    fn idle_worker_rounds_run_on_the_coordinator_alone() {
+        let script = fixed_script(STORES);
+        let (base, stats1, _, epochs1) = run_sharded(STORES, &script, 1, None);
+        for threads in [2, 3, 8] {
+            let mut sim = ShardedSim::new(build_worlds(STORES), LOOKAHEAD).with_threads(threads);
+            for (shard, at, ev) in &script {
+                sim.schedule_at(*shard, Time::from_ps(*at), ev.clone());
+            }
+            sim.run();
+            let stats = sim.stats();
+            assert_eq!(stats, stats1, "threads={threads}: stats drifted");
+            assert_eq!(sim.epoch_log, epochs1, "threads={threads}: epochs drifted");
+            assert!(
+                0 < sim.dispatched && sim.dispatched < stats.rounds,
+                "threads={threads}: {} of {} rounds dispatched",
+                sim.dispatched,
+                stats.rounds
+            );
+            for (i, (w, b)) in sim.into_worlds().iter().zip(&base).enumerate() {
+                assert_eq!(w.log, b.log, "threads={threads}: shard {i} log drifted");
+                assert_eq!(
+                    w.completions, b.completions,
+                    "threads={threads}: shard {i} completions drifted"
+                );
+            }
+        }
+    }
+
+    /// A toy world that panics when it handles an event on shard
+    /// `panics_on`; every other event is a no-op.
+    struct Fuse {
+        shard: u32,
+        panics_on: u32,
+    }
+
+    impl World for Fuse {
+        type Event = ();
+        fn handle(&mut self, _: (), _: &mut Scheduler<()>) {
+            if self.shard == self.panics_on {
+                panic!("fuse blew on shard {}", self.shard);
+            }
+        }
+    }
+
+    impl ShardWorld for Fuse {}
+
+    /// Two threads, an event due on both shards in the same round, and a
+    /// panic on `panics_on`: the run must end with that panic's payload.
+    fn run_fuse(panics_on: u32) {
+        let worlds = (0..2).map(|shard| Fuse { shard, panics_on }).collect();
+        let mut sim = ShardedSim::new(worlds, LOOKAHEAD).with_threads(2);
+        sim.schedule_at(0, Time::from_ps(5), ());
+        sim.schedule_at(1, Time::from_ps(5), ());
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "fuse blew on shard 1")]
+    fn worker_panic_surfaces_with_its_own_payload() {
+        run_fuse(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fuse blew on shard 0")]
+    fn coordinator_panic_releases_the_workers() {
+        run_fuse(0);
     }
 
     /// Pair-lookahead windows must leave the executed schedule untouched
@@ -976,8 +1252,7 @@ mod tests {
         let mut m = vec![vec![Time::MAX; 2]; 2];
         m[0][1] = LOOKAHEAD;
         m[1][0] = LOOKAHEAD;
-        let mut sim =
-            ShardedSim::new(vec![GWorld, GWorld], LOOKAHEAD).with_pair_lookahead(m);
+        let mut sim = ShardedSim::new(vec![GWorld, GWorld], LOOKAHEAD).with_pair_lookahead(m);
         sim.schedule_at(0, Time::from_ps(5), G);
         sim.run();
     }
@@ -1035,8 +1310,7 @@ mod tests {
             }
         }
         impl ShardWorld for Stopper {}
-        let mut sim =
-            ShardedSim::new(vec![Stopper { seen: vec![] }], Time::from_ps(100));
+        let mut sim = ShardedSim::new(vec![Stopper { seen: vec![] }], Time::from_ps(100));
         sim.schedule_at(0, Time::from_ps(10), SEv::Stop);
         // Far beyond the stop window: must never run.
         sim.schedule_at(0, Time::from_ps(100_000), SEv::Later(1));

@@ -24,31 +24,51 @@ fn quick(seed: u64) -> RunConfig {
 /// A deliberately sabotaged hub — one that pokes state tagged as owned by
 /// store shard 1 while handling its own events — must die with a report
 /// naming both shards plus the event's time and sequence number, the
-/// coordinates needed to replay the violation under any thread count.
+/// coordinates needed to replay the violation under any thread count. The
+/// panic must surface at every worker count, not only when one thread
+/// runs every shard.
 #[test]
 fn injected_cross_shard_mutation_panics_with_both_shard_ids() {
     let cfg = quick(101);
-    // One worker thread: the coordinator executes every shard on this
-    // thread, so the sanitizer panic unwinds straight into catch_unwind
-    // instead of stranding sibling workers at the window barrier.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        cluster::run_counted_stats(&cfg, |c| c.shardsan_inject_cross_shard_touch(1), Some(1))
-    }));
-    let payload = result.expect_err("sanitizer must catch the injected cross-shard touch");
-    let msg = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .expect("panic payload should be a message");
-    assert!(msg.contains("shardsan"), "not a sanitizer report: {msg}");
-    assert!(msg.contains("shard 0"), "missing offending shard: {msg}");
-    assert!(msg.contains("shard 1"), "missing owning shard: {msg}");
-    assert!(msg.contains("t="), "missing event time: {msg}");
-    assert!(msg.contains("seq="), "missing event seq: {msg}");
-    assert!(
-        msg.contains("Scheduler::send"),
-        "report should name the sanctioned channels: {msg}"
-    );
+    for threads in [1, 2, 4] {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            cluster::run_counted_stats(
+                &cfg,
+                |c| c.shardsan_inject_cross_shard_touch(1),
+                Some(threads),
+            )
+        }));
+        let payload = result.expect_err("sanitizer must catch the injected cross-shard touch");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .expect("panic payload should be a message");
+        assert!(
+            msg.contains("shardsan"),
+            "threads={threads}: not a sanitizer report: {msg}"
+        );
+        assert!(
+            msg.contains("shard 0"),
+            "threads={threads}: missing offending shard: {msg}"
+        );
+        assert!(
+            msg.contains("shard 1"),
+            "threads={threads}: missing owning shard: {msg}"
+        );
+        assert!(
+            msg.contains("t="),
+            "threads={threads}: missing event time: {msg}"
+        );
+        assert!(
+            msg.contains("seq="),
+            "threads={threads}: missing event seq: {msg}"
+        );
+        assert!(
+            msg.contains("Scheduler::send"),
+            "threads={threads}: report should name the sanctioned channels: {msg}"
+        );
+    }
 }
 
 /// With no sabotage the sanitizer is pure observation: a full sharded run
