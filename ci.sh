@@ -26,6 +26,10 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # examples) must be free of clippy warnings.
 cargo clippy --release --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: the workspace docs must build without a warning, so a
+# broken or private intra-doc link fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 # Static analysis first: simlint (crates/lintkit) enforces the
 # determinism, zero-dependency, and shard-safety invariants; exit 1 on any
 # violation. The second invocation smoke-tests the machine-readable output

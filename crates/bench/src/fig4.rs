@@ -9,7 +9,7 @@
 //! paper.
 
 use hwmodel::{wire_bytes, HostMemory, MemClass, MlcInjector, NicPort};
-use simkit::{FlowSpec, Meter, Scheduler, Simulation, Time, WakeCoalescer, World};
+use simkit::{FlowSpec, FluidResource, Meter, Scheduler, Simulation, Time, WakeSet, World};
 
 /// RDMA message size used by the paper (4 MiB).
 pub const MSG_BYTES: usize = 4 << 20;
@@ -39,7 +39,9 @@ enum Stage {
 
 #[derive(Debug)]
 enum Ev {
-    Wake(u8, u64, u64), // fluid index, epoch, coalescer serial
+    /// Arms the first wake of every fluid.
+    Start,
+    Wake(usize, u64, u64), // fluid index, epoch, coalescer serial
     Warmup,
     End,
 }
@@ -50,19 +52,28 @@ struct Fwd {
     stage: Vec<Stage>,
     remaining: Vec<u8>,
     meter: Meter,
-    touched: u8,
-    /// One wakeup coalescer per fluid (indexed by `F_MEM`/`F_RX`/`F_TX`):
-    /// at most one armed heap entry each, schedule-equivalent to the
-    /// push-per-batch driver (see [`simkit::wake`]).
-    coal: [WakeCoalescer; 3],
+    /// Wakeup driver over the three fluids (indexed by `F_MEM`/`F_RX`/
+    /// `F_TX`): at most one armed heap entry each, schedule-equivalent to
+    /// the push-per-batch driver (see [`simkit::wake`]).
+    wakes: WakeSet,
 }
 
-const F_MEM: u8 = 0;
-const F_RX: u8 = 1;
-const F_TX: u8 = 2;
+const F_MEM: usize = 0;
+const F_RX: usize = 1;
+const F_TX: usize = 2;
+
+/// Fluid `i` of the forwarder.
+fn fluid<'a>(mem: &'a HostMemory, port: &'a NicPort, i: usize) -> &'a FluidResource {
+    match i {
+        F_MEM => &mem.fluid,
+        F_RX => &port.rx,
+        F_TX => &port.tx,
+        _ => unreachable!("unknown fluid"),
+    }
+}
 
 impl Fwd {
-    fn fluid_mut(&mut self, i: u8) -> &mut simkit::FluidResource {
+    fn fluid_mut(&mut self, i: usize) -> &mut FluidResource {
         match i {
             F_MEM => &mut self.mem.fluid,
             F_RX => &mut self.port.rx,
@@ -112,30 +123,8 @@ impl Fwd {
                 );
             }
         }
-        self.touched |= 0b111;
-    }
-
-    fn arm(&mut self, sched: &mut Scheduler<Ev>) {
-        let mask = std::mem::take(&mut self.touched);
         for i in [F_MEM, F_RX, F_TX] {
-            if mask & (1 << i) != 0 {
-                let f = self.fluid_mut(i);
-                let epoch = f.epoch();
-                let want = f.next_wake();
-                let now = sched.now();
-                let (a, b) =
-                    self.coal[i as usize].arm(want.map(|at| at.max(now)), epoch, || {
-                        sched.reserve_seq()
-                    });
-                for e in [a, b].into_iter().flatten() {
-                    match e.seq {
-                        Some(seq) => {
-                            sched.schedule_at_seq(e.at, seq, Ev::Wake(i, e.epoch, e.serial))
-                        }
-                        None => sched.schedule_at(e.at, Ev::Wake(i, e.epoch, e.serial)),
-                    }
-                }
-            }
+            self.wakes.touch(i);
         }
     }
 }
@@ -145,24 +134,17 @@ impl World for Fwd {
 
     fn handle(&mut self, ev: Ev, sched: &mut Scheduler<Ev>) {
         match ev {
+            Ev::Start => {}
             Ev::Wake(i, epoch, serial) => {
-                // Sentinel bookkeeping first (see `core::cluster`'s Wake
-                // handler for the protocol).
-                let current = self.fluid_mut(i).epoch();
-                if let Some(e) = self.coal[i as usize].on_delivery(serial, current) {
-                    let Some(seq) = e.seq else {
-                        unreachable!("materialized wakes always carry a reserved seq")
-                    };
-                    sched.schedule_at_seq(e.at, seq, Ev::Wake(i, e.epoch, e.serial));
-                }
-                if current != epoch {
+                let current = fluid(&self.mem, &self.port, i).epoch();
+                if !self.wakes.deliver(sched, i, epoch, serial, current, Ev::Wake) {
                     return;
                 }
                 let now = sched.now();
                 let f = self.fluid_mut(i);
                 f.sync(now);
                 let done = f.take_completed();
-                self.touched |= 1 << i;
+                self.wakes.touch(i);
                 for end in done {
                     if end.token == u64::MAX {
                         continue;
@@ -183,13 +165,14 @@ impl World for Fwd {
                         }
                     }
                 }
-                self.arm(sched);
             }
             Ev::Warmup => {
                 self.meter.reset(sched.now());
             }
             Ev::End => sched.stop(),
         }
+        let (mem, port) = (&self.mem, &self.port);
+        self.wakes.arm(sched, |i| fluid(mem, port, i), Ev::Wake);
     }
 }
 
@@ -201,8 +184,7 @@ pub fn point(delay_cycles: u32, mlc_cores: usize) -> Fig4Point {
         stage: vec![Stage::Ingress; OUTSTANDING],
         remaining: vec![0; OUTSTANDING],
         meter: Meter::new(),
-        touched: 0,
-        coal: Default::default(),
+        wakes: WakeSet::new(3),
     };
     let mut mlc = MlcInjector::new(mlc_cores, delay_cycles);
     mlc.start(&mut world.mem, Time::ZERO);
@@ -214,27 +196,7 @@ pub fn point(delay_cycles: u32, mlc_cores: usize) -> Fig4Point {
     let warmup = Time::from_ms(5.0);
     let end = Time::from_ms(25.0);
     let mut sim = Simulation::new(world);
-    // Initial arming. The coalescers are fresh (nothing armed), so each
-    // arm yields exactly one plain push and never needs a reserved seq.
-    sim.world_mut().touched = 0;
-    let now = sim.now();
-    let mut first = Vec::new();
-    for i in [F_MEM, F_RX, F_TX] {
-        let world = sim.world_mut();
-        let f = world.fluid_mut(i);
-        let epoch = f.epoch();
-        let want = f.next_wake().map(|at| at.max(now));
-        let (a, b) = world.coal[i as usize]
-            .arm(want, epoch, || unreachable!("fresh coalescers never defer"));
-        debug_assert!(b.is_none());
-        if let Some(e) = a {
-            debug_assert!(e.seq.is_none());
-            first.push((e.at, i, e.epoch, e.serial));
-        }
-    }
-    for (at, i, epoch, serial) in first {
-        sim.schedule_at(at, Ev::Wake(i, epoch, serial));
-    }
+    sim.schedule_at(Time::ZERO, Ev::Start);
     sim.schedule_at(warmup, Ev::Warmup);
     sim.schedule_at(end, Ev::End);
     let mlc_bytes_at_warmup = {

@@ -21,7 +21,7 @@ fn worker_count() -> usize {
         })
 }
 
-/// Runs `job` over every item of `inputs` on up to [`worker_count`]
+/// Runs `job` over every item of `inputs` on up to `worker_count()`
 /// worker threads, returning outputs in input order.
 ///
 /// Each job must be independent and deterministic; the sweeps satisfy this

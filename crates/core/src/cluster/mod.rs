@@ -1,14 +1,22 @@
 //! The end-to-end cluster simulation: compute clients, one middle-tier
 //! server (any [`Design`]), and replicated storage servers.
 //!
-//! The cluster is a [`simkit::World`]. Write requests are issued closed-loop
-//! from `outstanding` client slots; each request executes its design's
-//! [`Plan`] phase by phase across the shared [`Fabric`], CPU pool, engines,
-//! and storage-server disks, while the functional layer really compresses
+//! The cluster is a [`simkit::World`]. Requests are issued by the run's
+//! load driver; each executes its design's [`Plan`](crate::plan::Plan)
+//! phase by phase across the shared [`Fabric`], CPU pool, engines, and
+//! storage-server disks, while the functional layer really compresses
 //! payload bytes and really appends them to [`StorageServer`] chunk stores
 //! (complete with LSM compaction when thresholds fire). Throughput, latency
 //! histograms, and per-resource bandwidths are collected over a
 //! post-warm-up measurement window.
+//!
+//! This file holds the hub world ([`Cluster`], its events [`Ev`] and their
+//! handler) and the storage RPC messages. The rest splits along four seams:
+//! `request` (the request state machine: issue, plan stepping, completion,
+//! timeout and retry), `transfer` (the fabric and rack-fabric fluids, the
+//! memory gate, draining and the one wakeup arming pass), `store` (the
+//! storage shards, barrier operations, split and absorb) and `run` (the run
+//! driver and fault routing).
 
 use crate::admission::Admission;
 use crate::design::{Design, Driver, RunConfig};
@@ -23,7 +31,7 @@ use blockstore::{QuorumTracker, ReplicaSelector, Scrubber, ServerId, StorageServ
 use faultkit::FaultKind;
 use hwmodel::consts::NET_PROPAGATION;
 use hwmodel::{CompressEngine, CpuPool, MlcInjector};
-use simkit::{Scheduler, Time, WakeCoalescer, World};
+use simkit::{Scheduler, Time, WakeSet, World};
 use tracekit::Tracer;
 
 mod request;
@@ -36,7 +44,7 @@ pub use run::{run, run_counted_stats};
 pub use store::{ClusterShard, StoreShard};
 
 use request::InFlight;
-use transfer::{MemGate, TopoNet, TopoPayload};
+use transfer::{wake_fluid, MemGate, TopoNet, TopoPayload};
 
 /// Number of storage servers in the simulated cluster.
 pub const STORAGE_SERVERS: usize = 6;
@@ -52,17 +60,12 @@ pub const COMPACTION_THRESHOLD: u64 = 512;
 /// Events circulating in the cluster world.
 #[derive(Debug)]
 pub enum Ev {
-    /// Fluid-resource wakeup (key, epoch at arming time, coalescer
-    /// serial identifying the armed sentinel).
-    Wake(FluidKey, u64, u64),
-    /// A CPU-pool job finished (token).
-    CpuDone(u64),
-    /// Engine `i` finished a block (token).
-    EngDone(u8, u64),
-    /// The dedicated service SoC pool finished a job (token).
-    SvcCpuDone(u64),
-    /// Dedicated service engine `i` finished a block (token).
-    SvcEngDone(u8, u64),
+    /// Fluid-resource wakeup (wake index — a fabric key or a rack link —,
+    /// epoch at arming time, coalescer serial identifying the armed
+    /// sentinel).
+    Wake(usize, u64, u64),
+    /// A compute station finished the job of branch token `tok`.
+    JobDone(Station, u64),
     /// A storage RPC arrived at its server shard (through the cross-shard
     /// mailbox, after wire propagation).
     StoreArrive(StoreMsg),
@@ -76,8 +79,10 @@ pub enum Ev {
     GlobalSnapshot,
     /// A fixed delay (Wait step or PCIe propagation) elapsed.
     Delay(u64),
-    /// Client slot issues its next request.
-    Issue(u32),
+    /// Client slot `slot` issues its next request at traffic class
+    /// `class` (also the deferred issue of tenant-bucket pacing or a
+    /// fail-over stall).
+    Issue(u32, u8),
     /// Open-loop Poisson arrival.
     Arrival,
     /// A scheduled `faultkit` fault fires (crash, stall, link degrade…).
@@ -87,15 +92,9 @@ pub enum Ev {
     ReqTimeout(u32, u32),
     /// Backoff elapsed: re-issue a timed-out request.
     Retry(Box<RetryTicket>),
-    /// Rack-fabric fluid wakeup (link slab index, epoch at arming time,
-    /// coalescer serial identifying the armed sentinel).
-    TopoWake(u16, u64, u64),
     /// Open-loop tenant arrival from the seeded load generator
     /// `(tenant rank, traffic class)`.
     TenantArrival(u64, u8),
-    /// Deferred issue of a classed request (tenant-bucket pacing or a
-    /// fail-over stall) for client slot `slot` at traffic class `class`.
-    IssueClass(u32, u8),
     /// Periodic snapshot maintenance tick.
     SnapshotTick,
     /// Periodic throughput sample (transient visualisation).
@@ -104,6 +103,19 @@ pub enum Ev {
     WarmupEnd,
     /// End of the measurement window.
     RunEnd,
+}
+
+/// A FIFO compute station of the middle tier.
+#[derive(Clone, Copy, Debug)]
+pub enum Station {
+    /// The software core pool.
+    Cpu,
+    /// Compression engine `i`.
+    Engine(u8),
+    /// The dedicated service SoC pool.
+    SvcCpu,
+    /// Dedicated service engine `i`.
+    SvcEngine(u8),
 }
 
 /// The functional payload of a write-path storage RPC: what to append.
@@ -133,6 +145,15 @@ pub struct StoreMsg {
     // for the largest variant, and the payload rides along on only two
     // hops of the RPC.
     payload: Option<Box<StorePayload>>,
+}
+
+impl StoreMsg {
+    /// A fresh RPC to `server` for branch token `tok`: no disk depth
+    /// observed yet, no redirect taken.
+    fn new(server: u32, tok: u64, bytes: u32, class: u8, payload: Option<StorePayload>) -> Self {
+        let payload = payload.map(Box::new);
+        StoreMsg { server, tok, bytes, depth: 0, redirects: 0, class, payload }
+    }
 }
 
 /// What happened to a storage RPC on the server.
@@ -198,11 +219,10 @@ pub struct Cluster {
     scrubber: Scrubber,
     next_req_id: u64,
     mlc: Option<MlcInjector>,
-    touched: u32,
-    /// Per-fluid wakeup coalescers (indexed by [`FluidKey::index`]): at
-    /// most one armed heap entry per resource, with provable schedule
-    /// equivalence to the push-per-batch driver (see [`simkit::wake`]).
-    wake_coal: Vec<WakeCoalescer>,
+    /// Wakeup driver over every fabric key and rack link (see
+    /// [`simkit::wake`]): at most one armed heap entry per resource, with
+    /// provable schedule equivalence to the push-per-batch driver.
+    wakes: WakeSet,
     pending: Vec<u64>,
     /// Reused scratch for draining fluid completions (see
     /// [`Cluster::drain_fluid`]); always empty between events.
@@ -233,8 +253,8 @@ pub struct Cluster {
     in_flight: usize,
     /// Arrivals shed because the overload cap was reached (open loop only).
     pub dropped: u64,
-    /// Rack-scale fabric links (present iff `cfg.topology` is set).
-    topo: Option<TopoNet>,
+    /// Rack-scale fabric links (none without `cfg.topology`).
+    topo: TopoNet,
     /// Seeded open-loop tenant load generator (present iff the driver is
     /// [`Driver::Tenants`]).
     loadgen: Option<LoadGen>,
@@ -313,6 +333,7 @@ impl Cluster {
             ),
             Driver::Closed | Driver::Poisson { .. } => (None, None),
         };
+        let topo = TopoNet::new(cfg.topology.as_ref(), FluidKey::count(ports));
         Cluster {
             fabric,
             cpu,
@@ -330,10 +351,7 @@ impl Cluster {
             scrubber: Scrubber::new(),
             next_req_id: 0,
             mlc: cfg.mlc.map(|(cores, delay)| MlcInjector::new(cores, delay)),
-            touched: 0,
-            wake_coal: (0..FluidKey::count(cfg.design.ports()))
-                .map(|_| WakeCoalescer::new())
-                .collect(),
+            wakes: WakeSet::new(topo.wake_count()),
             pending: Vec::new(),
             fluid_done: Vec::new(),
             retry_boxes: Vec::new(),
@@ -349,7 +367,7 @@ impl Cluster {
             samples: Vec::new(),
             in_flight: 0,
             dropped: 0,
-            topo: cfg.topology.as_ref().map(TopoNet::new),
+            topo,
             loadgen,
             admission,
             services: cfg.services.as_ref().map(Services::new),
@@ -433,62 +451,20 @@ impl World for Cluster {
             simkit::ShardTag::new(victim).check("the victim shard's chunk store (injected)");
         }
         match ev {
-            Ev::Wake(key, epoch, serial) => {
-                // Sentinel bookkeeping first, under the pre-processing
-                // epoch — the instant at which the push-per-batch driver
-                // would still have held both heap entries.
-                let current = self.fabric.fluid(key).epoch();
-                if let Some(e) = self.wake_coal[key.index()].on_delivery(serial, current) {
-                    let Some(seq) = e.seq else {
-                        unreachable!("materialized wakes always carry a reserved seq")
-                    };
-                    sched.schedule_at_seq(e.at, seq, Ev::Wake(key, e.epoch, e.serial));
-                }
-                if current != epoch {
+            Ev::Wake(i, epoch, serial) => {
+                let current = wake_fluid(&self.fabric, &self.topo, i).epoch();
+                if !self.wakes.deliver(sched, i, epoch, serial, current, Ev::Wake) {
                     return; // stale: a newer wakeup exists
                 }
-                self.drain_fluid(key, sched);
+                self.drain(i, sched);
                 self.pump(sched);
             }
-            Ev::CpuDone(tok) => {
-                if let Some(next) = self.cpu.complete(sched.now()) {
-                    sched.schedule_at(next.finish_at, Ev::CpuDone(next.token));
-                }
-                self.pending.push(tok);
-                self.pump(sched);
-            }
-            Ev::EngDone(i, tok) => {
-                if let Some(next) = self.engines[i as usize].complete(sched.now()) {
-                    sched.schedule_at(next.finish_at, Ev::EngDone(i, next.token));
-                }
-                self.pending.push(tok);
-                self.pump(sched);
-            }
-            Ev::SvcCpuDone(tok) => {
-                if let Some(soc) = self.services.as_mut().and_then(|s| s.soc.as_mut()) {
-                    if let Some(next) = soc.complete(sched.now()) {
-                        sched.schedule_at(next.finish_at, Ev::SvcCpuDone(next.token));
-                    }
-                }
-                self.pending.push(tok);
-                self.pump(sched);
-            }
-            Ev::SvcEngDone(i, tok) => {
-                if let Some(svc) = self.services.as_mut() {
-                    if let Some(next) = svc.engines[i as usize].complete(sched.now()) {
-                        sched.schedule_at(next.finish_at, Ev::SvcEngDone(i, next.token));
-                    }
-                }
-                self.pending.push(tok);
-                self.pump(sched);
+            Ev::JobDone(station, tok) => {
+                self.complete_job(station, tok, sched);
             }
             Ev::StoreAck(ack) => {
-                if self.topo.is_some() {
-                    // The return path serializes through the fabric too.
-                    self.topo_launch(TopoPayload::In(ack), sched);
-                } else {
-                    self.store_ack(ack, sched);
-                }
+                // The return path serializes through the fabric too.
+                self.topo_launch(TopoPayload::In(ack), sched);
             }
             Ev::StoreArrive(_) | Ev::StoreDiskDone(_) | Ev::GlobalScrub(_) | Ev::GlobalSnapshot => {
                 // Store-side events run on the store shards; barrier
@@ -499,35 +475,14 @@ impl World for Cluster {
                 self.pending.push(tok);
                 self.pump(sched);
             }
-            Ev::Issue(slot) => {
-                self.issue(slot, sched);
-            }
-            Ev::IssueClass(slot, class) => {
-                self.issue_with(slot, class, sched);
+            Ev::Issue(slot, class) => {
+                self.issue(slot, class, sched);
             }
             Ev::Arrival => {
                 self.arrival(sched);
             }
             Ev::TenantArrival(tenant, class) => {
                 self.tenant_arrival(tenant, class, sched);
-            }
-            Ev::TopoWake(i, epoch, serial) => {
-                let idx = i as usize;
-                let mut stale = true;
-                if let Some(tn) = self.topo.as_mut() {
-                    let current = tn.links[idx].epoch();
-                    if let Some(e) = tn.coal[idx].on_delivery(serial, current) {
-                        let Some(seq) = e.seq else {
-                            unreachable!("materialized wakes always carry a reserved seq")
-                        };
-                        sched.schedule_at_seq(e.at, seq, Ev::TopoWake(i, e.epoch, e.serial));
-                    }
-                    stale = current != epoch;
-                }
-                if !stale {
-                    self.topo_drain(idx, sched);
-                    self.pump(sched);
-                }
             }
             Ev::Fault(kind) => {
                 self.apply_fault(kind, sched);
@@ -536,25 +491,7 @@ impl World for Cluster {
                 self.request_timeout(key, gen, sched);
             }
             Ev::Retry(ticket) => {
-                // Copy the ticket out and recycle its box (bounded pool;
-                // in-flight retries are bounded by outstanding slots).
-                let t = (*ticket).clone();
-                if self.retry_boxes.len() < 256 {
-                    self.retry_boxes.push(ticket);
-                }
-                if sched.now() < self.stop_issuing_at {
-                    match self.selector.choose(self.cfg.replication) {
-                        Some(replicas) => self.spawn_attempt(replicas, t, sched),
-                        None => {
-                            // Still no healthy quorum: burn an attempt so
-                            // an extended outage converges to an explicit
-                            // failure instead of retrying forever.
-                            let mut t = t;
-                            t.attempt += 1;
-                            self.fail_or_retry(t, sched);
-                        }
-                    }
-                }
+                self.retry(ticket, sched);
             }
             Ev::SnapshotTick => {
                 // The chunk stores live in other shards: snapshot at the
@@ -587,7 +524,123 @@ impl World for Cluster {
                 sched.stop();
             }
         }
-        self.arm_touched(sched);
-        self.arm_topo(sched);
+        self.arm_wakes(sched);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run::build_sim;
+    use super::*;
+    use simkit::EngineStats;
+
+    fn quick(design: Design) -> RunConfig {
+        let mut c = RunConfig::saturating(design);
+        c.warmup = Time::from_ms(2.0);
+        c.measure = Time::from_ms(6.0);
+        c.outstanding = 96 * design.ports();
+        c.pool_blocks = 64;
+        c
+    }
+
+    #[test]
+    fn cpu_only_is_compression_bound_at_low_cores() {
+        let r = run(&quick(Design::CpuOnly).with_cores(4).with_outstanding(64));
+        // 4 cores × 2.1 Gbps ≈ 8.4 Gbps ceiling; expect to be near it.
+        assert!(
+            (5.0..10.0).contains(&r.throughput_gbps),
+            "4-core CPU-only throughput {:.2} Gbps",
+            r.throughput_gbps
+        );
+        assert!(r.writes_done > 1000, "writes {}", r.writes_done);
+    }
+
+    #[test]
+    fn smartds_reaches_port_scale_throughput_with_two_cores() {
+        let r = run(&quick(Design::SmartDs { ports: 1 }).with_cores(2));
+        assert!(
+            r.throughput_gbps > 40.0,
+            "SmartDS-1 on 2 cores: {:.2} Gbps",
+            r.throughput_gbps
+        );
+        // Host memory sees headers only (an order of magnitude below the
+        // ~90+90 Gbps a CPU-only middle tier consumes at this rate).
+        assert!(
+            r.mem_read_gbps + r.mem_write_gbps < 10.0,
+            "SmartDS host memory {:.2}+{:.2} Gbps",
+            r.mem_read_gbps,
+            r.mem_write_gbps
+        );
+    }
+
+    #[test]
+    fn runs_are_deterministic() {
+        let cfg = quick(Design::Bf2);
+        let a = run(&cfg);
+        let b = run(&cfg);
+        assert_eq!(a.writes_done, b.writes_done);
+        assert_eq!(a.throughput_gbps, b.throughput_gbps);
+        assert_eq!(a.p999_us, b.p999_us);
+    }
+
+    #[test]
+    fn star_lookahead_executes_the_flat_schedule_in_fewer_rounds() {
+        // The star matrix is a pure synchronization optimization: every
+        // simulated outcome must be bit-identical to the flat window's;
+        // only the round count may (and must) drop.
+        //
+        // `RunEnd` stops the run after the window it lands in, and how far
+        // the other shards got in that window depends on the window layout,
+        // so event totals of a stopped run include a layout-dependent tail.
+        // The comparison therefore runs drained, executing the whole
+        // schedule.
+        let mut cfg = quick(Design::SmartDs { ports: 2 });
+        cfg.outstanding = 128;
+        let (flat_metrics, flat) = run_drained(&cfg, 2, false);
+        for threads in [1usize, 4] {
+            let (metrics, star) = run_drained(&cfg, threads, true);
+            assert_eq!(
+                metrics, flat_metrics,
+                "the star changed the drained metrics"
+            );
+            assert_eq!(star.events, flat.events);
+            assert_eq!(star.messages, flat.messages);
+            assert!(
+                star.rounds < flat.rounds,
+                "the star should cut rounds: {} vs flat {}",
+                star.rounds,
+                flat.rounds
+            );
+        }
+    }
+
+    /// Runs `cfg` through the production setup ([`build_sim`]) with no
+    /// `RunEnd` stop: issue ends at the end of the measurement window and
+    /// the run goes on until every request drains. `star` selects the
+    /// hub-and-spoke pair matrix over the flat window. Returns the metrics
+    /// (as `Debug` text) and the engine accounting.
+    fn run_drained(cfg: &RunConfig, threads: usize, star: bool) -> (String, EngineStats) {
+        let mut sim = build_sim(cfg, |_| {}, Some(threads), star);
+        sim.run();
+        let stats = sim.stats();
+        let cluster = Cluster::absorb_shards(sim.into_worlds());
+        (format!("{:?}", cluster.metrics), stats)
+    }
+
+    #[test]
+    fn stored_blocks_decompress_to_original_payloads() {
+        let (_, cluster, _) = run_counted_stats(&quick(Design::SmartDs { ports: 1 }), |_| {}, None);
+        let mut verified = 0usize;
+        for srv in &cluster.servers {
+            assert!(srv.appends() > 0, "every server should receive appends");
+            for (_, chunk) in srv.chunks() {
+                for (_, sb) in chunk.snapshot().iter().take(4) {
+                    let expanded = sb.expand().expect("stored block decodes");
+                    assert_eq!(expanded.len(), hwmodel::consts::BLOCK_SIZE);
+                    verified += 1;
+                }
+            }
+        }
+        assert!(verified >= 10, "verified {verified} stored blocks");
     }
 }

@@ -1,7 +1,7 @@
 //! The request state machine: the [`InFlight`] record, issue and launch,
 //! plan stepping, completion, timeout and retry.
 
-use super::{AckMsg, AckOutcome, Cluster, Ev, StoreMsg, StorePayload};
+use super::{AckMsg, AckOutcome, Cluster, Ev, Station, StoreMsg, StorePayload};
 use crate::admission::Verdict;
 use crate::design::Driver;
 use crate::fabric::{res_route, FluidKey};
@@ -28,36 +28,21 @@ const TIMEOUT_PENALTY: u64 = 8;
 /// are intercepted before the slot/generation decode.
 const PREFETCH_BIT: u64 = 1 << 63;
 
+/// One attempt of a request in flight: its logical request (the
+/// [`RetryTicket`] every attempt carries forward) plus the attempt's own
+/// plan progress, replica set and quorum id.
 #[derive(Debug)]
 pub(super) struct InFlight {
+    ticket: RetryTicket,
     plan: Plan,
     phase: usize,
     cursor: [u16; MAX_BRANCHES],
     live: u8,
-    pool_idx: usize,
-    b: u32,
-    chunk_key: (u64, u64),
-    block: u64,
     replicas: [u32; 6],
-    issued_at: Time,
-    slot: u32,
-    is_read: bool,
-    /// Traffic class (0 = most latency-sensitive … 7 = bulk). Closed-loop
-    /// and Poisson drivers issue everything at class 0; the tenant load
-    /// generator maps tenants onto all 8.
-    class: u8,
     /// Quorum-tracker id of this attempt (fresh per retry).
     request_id: u64,
-    /// How many timeouts this logical request has already eaten.
-    attempt: u32,
-    /// Trace id (null when the request was not sampled).
-    trace: TraceId,
-    /// Root request span, closed on completion or final failure.
-    root: SpanId,
     /// The span covering the step each branch is currently blocked on.
     step_span: [SpanId; MAX_BRANCHES],
-    /// Latency-segment accumulator; milestones charge it via `Step::Mark`.
-    seg: SegmentAccum,
     /// Sealed container length of this block when data services are on
     /// (0 otherwise); what replication ships and the stored meter counts.
     sealed_len: u32,
@@ -65,9 +50,10 @@ pub(super) struct InFlight {
     cache_hit: bool,
 }
 
-/// Everything needed to re-issue a timed-out request after its backoff:
-/// the *same* payload block, chunk address, and client slot — a retry
-/// must not redraw the workload stream, or replays would diverge.
+/// The logical request every attempt shares, and everything needed to
+/// re-issue a timed-out request after its backoff: the *same* payload
+/// block, chunk address, and client slot — a retry must not redraw the
+/// workload stream, or replays would diverge.
 #[derive(Clone, Debug)]
 pub struct RetryTicket {
     slot: u32,
@@ -75,15 +61,22 @@ pub struct RetryTicket {
     b: u32,
     chunk_key: (u64, u64),
     block: u64,
-    pub(super) attempt: u32,
+    /// How many timeouts this logical request has already eaten.
+    attempt: u32,
     first_issued_at: Time,
     is_read: bool,
-    /// Traffic class; retries keep the class they were admitted under.
+    /// Traffic class (0 = most latency-sensitive … 7 = bulk); retries keep
+    /// the class they were admitted under. Closed-loop and Poisson drivers
+    /// issue everything at class 0; the tenant load generator maps tenants
+    /// onto all 8.
     class: u8,
     /// Trace identity survives retries: every attempt of a logical request
     /// lands under the same root span, so a trace shows the whole story.
+    /// The trace id is null when the request was not sampled; the root
+    /// span closes on completion or final failure.
     trace: TraceId,
     root: SpanId,
+    /// Latency-segment accumulator; milestones charge it via `Step::Mark`.
     seg: SegmentAccum,
 }
 
@@ -139,7 +132,7 @@ impl Cluster {
         now: Time,
     ) -> SpanId {
         let (trace, root) = match self.reqs[key as usize].as_ref() {
-            Some(req) => (req.trace, req.root),
+            Some(req) => (req.ticket.trace, req.ticket.root),
             None => return SpanId::NULL,
         };
         let sid = self.tracer.span_open(trace, root, kind, label, bytes, now);
@@ -152,7 +145,7 @@ impl Cluster {
     /// Emits a zero-duration span on the request's trace under its root.
     fn req_instant(&mut self, key: u32, kind: StageKind, label: &'static str, now: Time) {
         let (trace, root) = match self.reqs[key as usize].as_ref() {
-            Some(req) => (req.trace, req.root),
+            Some(req) => (req.ticket.trace, req.ticket.root),
             None => return,
         };
         self.tracer.instant(trace, root, kind, label, 0, now);
@@ -204,7 +197,7 @@ impl Cluster {
                 req.cursor[branch as usize] += 1;
                 steps[idx]
             };
-            match step {
+            let (station, sid, depth, job) = match step {
                 Step::Xfer(_, 0) => continue,
                 Step::Xfer(res, bytes) => {
                     let (kind, label) = res_span(res);
@@ -236,11 +229,8 @@ impl Cluster {
                         CpuWork::CacheLookup => (StageKind::Cache, "cache-lookup", 0u64),
                     };
                     let sid = self.open_step_span(key, branch, kind, label, wbytes, now);
-                    self.tracer.span_set_queue(sid, self.cpu.queued() as u32);
-                    if let Some(js) = self.cpu.submit(now, work, tok) {
-                        sched.schedule_at(js.finish_at, Ev::CpuDone(js.token));
-                    }
-                    return;
+                    let cpu = &mut self.cpu;
+                    (Station::Cpu, sid, cpu.queued(), cpu.submit(now, work, tok))
                 }
                 Step::Engine(i, bytes) => {
                     let sid = self.open_step_span(
@@ -251,13 +241,8 @@ impl Cluster {
                         bytes as u64,
                         now,
                     );
-                    let depth = self.engines[i as usize].queued() as u32;
-                    self.tracer.span_set_queue(sid, depth);
                     let eng = &mut self.engines[i as usize];
-                    if let Some(js) = eng.submit(now, bytes as usize, tok) {
-                        sched.schedule_at(js.finish_at, Ev::EngDone(i, js.token));
-                    }
-                    return;
+                    (Station::Engine(i), sid, eng.queued(), eng.submit(now, bytes as usize, tok))
                 }
                 Step::SvcCpu(work) => {
                     let (kind, label, wbytes) = match work {
@@ -266,20 +251,10 @@ impl Cluster {
                         _ => (StageKind::CpuJob, "soc-job", 0u64),
                     };
                     let sid = self.open_step_span(key, branch, kind, label, wbytes, now);
-                    let (js, depth) = {
-                        let Some(soc) =
-                            self.services.as_mut().and_then(|s| s.soc.as_mut())
-                        else {
-                            unreachable!("SvcCpu steps are only planned with a SoC placement");
-                        };
-                        let depth = soc.queued() as u32;
-                        (soc.submit(now, work, tok), depth)
+                    let Some(soc) = self.services.as_mut().and_then(|s| s.soc.as_mut()) else {
+                        unreachable!("SvcCpu steps are only planned with a SoC placement");
                     };
-                    self.tracer.span_set_queue(sid, depth);
-                    if let Some(js) = js {
-                        sched.schedule_at(js.finish_at, Ev::SvcCpuDone(js.token));
-                    }
-                    return;
+                    (Station::SvcCpu, sid, soc.queued(), soc.submit(now, work, tok))
                 }
                 Step::SvcEngine(i, bytes) => {
                     let (kind, label) = if i == SVC_ENG_DEDUP {
@@ -288,19 +263,11 @@ impl Cluster {
                         (StageKind::Encrypt, "svc-engine-crypt")
                     };
                     let sid = self.open_step_span(key, branch, kind, label, bytes as u64, now);
-                    let (js, depth) = {
-                        let Some(svc) = self.services.as_mut() else {
-                            unreachable!("SvcEngine steps are only planned with services on");
-                        };
-                        let eng = &mut svc.engines[i as usize];
-                        let depth = eng.queued() as u32;
-                        (eng.submit(now, bytes as usize, tok), depth)
+                    let Some(svc) = self.services.as_mut() else {
+                        unreachable!("SvcEngine steps are only planned with services on");
                     };
-                    self.tracer.span_set_queue(sid, depth);
-                    if let Some(js) = js {
-                        sched.schedule_at(js.finish_at, Ev::SvcEngDone(i, js.token));
-                    }
-                    return;
+                    let eng = &mut svc.engines[i as usize];
+                    (Station::SvcEngine(i), sid, eng.queued(), eng.submit(now, bytes as usize, tok))
                 }
                 Step::Store(r, bytes) => {
                     let (pool_idx, b, chunk_key, block, server, class) = {
@@ -308,12 +275,12 @@ impl Cluster {
                             return;
                         };
                         (
-                            req.pool_idx,
-                            req.b,
-                            req.chunk_key,
-                            req.block,
+                            req.ticket.pool_idx,
+                            req.ticket.b,
+                            req.ticket.chunk_key,
+                            req.ticket.block,
                             req.replicas[r as usize],
-                            req.class,
+                            req.ticket.class,
                         )
                     };
                     self.open_step_span(
@@ -331,19 +298,8 @@ impl Cluster {
                     // re-replicates the version it missed.
                     self.scrubber
                         .record_on(chunk_key, block, ServerId(server), &stored);
-                    let msg = StoreMsg {
-                        server,
-                        tok,
-                        bytes,
-                        depth: 0,
-                        redirects: 0,
-                        class,
-                        payload: Some(Box::new(StorePayload {
-                            chunk_key,
-                            block,
-                            stored,
-                        })),
-                    };
+                    let payload = StorePayload { chunk_key, block, stored };
+                    let msg = StoreMsg::new(server, tok, bytes, class, Some(payload));
                     self.send_store(msg, sched);
                     return;
                 }
@@ -352,7 +308,7 @@ impl Cluster {
                         let Some(req) = self.reqs[key as usize].as_ref() else {
                             return;
                         };
-                        (req.replicas[0], req.class)
+                        (req.replicas[0], req.ticket.class)
                     };
                     self.open_step_span(
                         key,
@@ -362,16 +318,7 @@ impl Cluster {
                         bytes as u64,
                         now,
                     );
-                    let msg = StoreMsg {
-                        server,
-                        tok,
-                        bytes,
-                        depth: 0,
-                        redirects: 0,
-                        class,
-                        payload: None,
-                    };
-                    self.send_store(msg, sched);
+                    self.send_store(StoreMsg::new(server, tok, bytes, class, None), sched);
                     return;
                 }
                 Step::Wait(d) => {
@@ -383,7 +330,7 @@ impl Cluster {
                     // Functional compression is memoized per pool block; the
                     // time was charged by the Cpu/Engine step.
                     let idx = match self.reqs[key as usize].as_ref() {
-                        Some(req) => req.pool_idx,
+                        Some(req) => req.ticket.pool_idx,
                         None => return,
                     };
                     let _ = self.workload.compressed(idx);
@@ -391,7 +338,7 @@ impl Cluster {
                 }
                 Step::Mark(kind) => {
                     if let Some(req) = self.reqs[key as usize].as_mut() {
-                        req.seg.mark(kind, now);
+                        req.ticket.seg.mark(kind, now);
                     }
                     self.req_instant(key, kind, kind.name(), now);
                     continue;
@@ -400,8 +347,38 @@ impl Cluster {
                     self.req_instant(key, kind, label, now);
                     continue;
                 }
+            };
+            // A compute station took the job: note the queue it joined and
+            // schedule its completion if it started right away.
+            self.tracer.span_set_queue(sid, depth as u32);
+            if let Some(js) = job {
+                sched.schedule_at(js.finish_at, Ev::JobDone(station, js.token));
             }
+            return;
         }
+    }
+
+    /// A compute station finished branch token `tok`'s job: start the
+    /// station's next queued job, then resume the branch.
+    pub(super) fn complete_job(&mut self, station: Station, tok: u64, sched: &mut Scheduler<Ev>) {
+        let now = sched.now();
+        let next = match station {
+            Station::Cpu => self.cpu.complete(now),
+            Station::Engine(i) => self.engines[i as usize].complete(now),
+            Station::SvcCpu => {
+                let soc = self.services.as_mut().and_then(|s| s.soc.as_mut());
+                soc.and_then(|soc| soc.complete(now))
+            }
+            Station::SvcEngine(i) => {
+                let svc = self.services.as_mut();
+                svc.and_then(|svc| svc.engines[i as usize].complete(now))
+            }
+        };
+        if let Some(next) = next {
+            sched.schedule_at(next.finish_at, Ev::JobDone(station, next.token));
+        }
+        self.pending.push(tok);
+        self.pump(sched);
     }
 
     /// The functional bytes a replica appends for pool block `pool_idx`:
@@ -450,12 +427,12 @@ impl Cluster {
             };
             (
                 req.request_id,
-                req.trace,
-                req.root,
-                req.pool_idx,
-                req.b,
-                req.chunk_key,
-                req.block,
+                req.ticket.trace,
+                req.ticket.root,
+                req.ticket.pool_idx,
+                req.ticket.b,
+                req.ticket.chunk_key,
+                req.ticket.block,
             )
         };
         if let Some(req) = self.reqs[key as usize].as_ref() {
@@ -497,20 +474,9 @@ impl Cluster {
                         let alt = alt[0];
                         let stored = self.stored_block(pool_idx, b);
                         self.scrubber.record_on(chunk_key, block, alt, &stored);
-                        let msg = StoreMsg {
-                            server: alt.0,
-                            tok: ack.tok,
-                            bytes: ack.bytes,
-                            depth: 0,
-                            redirects: 1,
-                            class: ack.class,
-                            payload: Some(Box::new(StorePayload {
-                                chunk_key,
-                                block,
-                                stored,
-                            })),
-                        };
-                        self.send_store(msg, sched);
+                        let payload = StorePayload { chunk_key, block, stored };
+                        let msg = StoreMsg::new(alt.0, ack.tok, ack.bytes, ack.class, Some(payload));
+                        self.send_store(StoreMsg { redirects: 1, ..msg }, sched);
                         return; // the branch stays blocked on the redirect
                     }
                 }
@@ -527,7 +493,7 @@ impl Cluster {
         // Invalidate any leftover tokens/timers minted for this attempt.
         self.gens[key as usize] = self.gens[key as usize].wrapping_add(1);
         let quorum_incomplete = self.quorum.abort(req.request_id);
-        if quorum_incomplete && !req.is_read && self.cfg.request_timeout.is_some() {
+        if quorum_incomplete && !req.ticket.is_read && self.cfg.request_timeout.is_some() {
             // Fault-aware mode: the plan ran to its end but some replica
             // ack never landed (e.g. every fail-over target was down too).
             // Acking the VM now would be silent under-replication — route
@@ -537,38 +503,26 @@ impl Cluster {
             self.in_flight -= 1;
             self.metrics.aborts += 1;
             self.tracer.instant(
-                req.trace,
-                req.root,
+                req.ticket.trace,
+                req.ticket.root,
                 StageKind::Abort,
                 "quorum-abort",
                 0,
                 sched.now(),
             );
-            let ticket = RetryTicket {
-                slot: req.slot,
-                pool_idx: req.pool_idx,
-                b: req.b,
-                chunk_key: req.chunk_key,
-                block: req.block,
-                attempt: req.attempt + 1,
-                first_issued_at: req.issued_at,
-                is_read: req.is_read,
-                class: req.class,
-                trace: req.trace,
-                root: req.root,
-                seg: req.seg,
-            };
+            let mut ticket = req.ticket;
+            ticket.attempt += 1;
             self.fail_or_retry(ticket, sched);
             return;
         }
         self.free.push(key);
         let now = sched.now();
-        let latency = now - req.issued_at;
+        let latency = now - req.ticket.first_issued_at;
         if self.loadgen.is_some() {
-            self.metrics.record_class(req.class, latency);
+            self.metrics.record_class(req.ticket.class, latency);
         }
-        let block_key = (req.chunk_key.0, req.chunk_key.1, req.block);
-        if req.is_read {
+        let block_key = (req.ticket.chunk_key.0, req.ticket.chunk_key.1, req.ticket.block);
+        if req.ticket.is_read {
             self.metrics.read_latency.record(latency);
             if !req.cache_hit {
                 // A completed read miss warms the cache and triggers the
@@ -581,15 +535,7 @@ impl Cluster {
                     _ => Vec::new(),
                 };
                 for (id, server, sealed_len) in targets {
-                    let msg = StoreMsg {
-                        server,
-                        tok: PREFETCH_BIT | id,
-                        bytes: sealed_len,
-                        depth: 0,
-                        redirects: 0,
-                        class: req.class,
-                        payload: None,
-                    };
+                    let msg = StoreMsg::new(server, PREFETCH_BIT | id, sealed_len, req.ticket.class, None);
                     self.send_store(msg, sched);
                 }
             }
@@ -597,32 +543,32 @@ impl Cluster {
             // The write acked: charge the tail segment and fold the
             // request's segment partition into the per-stage breakdown
             // (Σ segments == issue→ack latency, retries included).
-            let mut seg = req.seg;
+            let mut seg = req.ticket.seg;
             seg.mark(StageKind::Ack, now);
             seg.flush_into(&mut self.metrics.breakdown);
             self.metrics.write_latency.record(latency);
-            self.metrics.ingest.add(now, req.b as f64);
+            self.metrics.ingest.add(now, req.ticket.b as f64);
             let c = match self.services.as_mut() {
                 Some(svc) => {
                     // Sealed container bytes hit the disks; the write also
                     // registers with the prefetcher and warms the cache.
-                    svc.record_write(block_key, req.replicas[0], req.pool_idx as u32);
+                    svc.record_write(block_key, req.replicas[0], req.ticket.pool_idx as u32);
                     svc.cache_fill(block_key, req.sealed_len, false);
                     req.sealed_len as usize
                 }
-                None => self.workload.compressed(req.pool_idx).len(),
+                None => self.workload.compressed(req.ticket.pool_idx).len(),
             };
             self.metrics.stored.add(now, c as f64);
             if !self.tenant_done.is_empty() && now >= self.metrics.ingest.window_start() {
-                let tenant = req.slot as usize % self.tenant_done.len();
+                let tenant = req.ticket.slot as usize % self.tenant_done.len();
                 self.tenant_done[tenant] += 1;
             }
         }
         self.metrics.ops.add(now, 1.0);
-        self.tracer.span_close(req.root, now);
+        self.tracer.span_close(req.ticket.root, now);
         self.in_flight -= 1;
-        self.admission_release(req.class, sched);
-        self.reissue_closed(req.slot, sched);
+        self.admission_release(req.ticket.class, sched);
+        self.reissue_closed(req.ticket.slot, sched);
     }
 
     /// Closed loop: the slot issues its next request after a think time.
@@ -631,7 +577,7 @@ impl Cluster {
         match self.cfg.driver {
             Driver::Closed if sched.now() < self.stop_issuing_at => {
                 let think = Time::from_ps(self.workload.think_ps(1.0));
-                sched.schedule_in(think, Ev::Issue(slot));
+                sched.schedule_in(think, Ev::Issue(slot, 0));
             }
             _ => {}
         }
@@ -655,7 +601,7 @@ impl Cluster {
         };
         if let Some(d) = popped {
             let slot = (self.issued % u32::MAX as u64) as u32;
-            self.issue_with(slot, d.class, sched);
+            self.issue(slot, d.class, sched);
         }
     }
 
@@ -680,14 +626,12 @@ impl Cluster {
             return;
         }
         let slot = (self.issued % u32::MAX as u64) as u32;
-        self.issue(slot, sched);
+        self.issue(slot, 0, sched);
     }
 
-    pub(super) fn issue(&mut self, slot: u32, sched: &mut Scheduler<Ev>) {
-        self.issue_with(slot, 0, sched);
-    }
-
-    pub(super) fn issue_with(&mut self, slot: u32, class: u8, sched: &mut Scheduler<Ev>) {
+    /// Client slot `slot` issues a new request at traffic class `class`,
+    /// unless its tenant bucket or a fail-over stall defers it.
+    pub(super) fn issue(&mut self, slot: u32, class: u8, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         if now >= self.stop_issuing_at {
             return;
@@ -697,13 +641,13 @@ impl Cluster {
             if let Err(ready_at) = self.tenant_buckets[tenant]
                 .admit(now, hwmodel::consts::BLOCK_SIZE as u64)
             {
-                sched.schedule_at(ready_at.max(now), Ev::IssueClass(slot, class));
+                sched.schedule_at(ready_at.max(now), Ev::Issue(slot, class));
                 return;
             }
         }
         let Some(replicas) = self.selector.choose(self.cfg.replication) else {
             // Not enough healthy servers: retry shortly (fail-over stall).
-            sched.schedule_in(Time::from_us(100.0), Ev::IssueClass(slot, class));
+            sched.schedule_in(Time::from_us(100.0), Ev::Issue(slot, class));
             return;
         };
         let w = self.workload.next_write();
@@ -765,7 +709,7 @@ impl Cluster {
         match verdict {
             Verdict::Admitted => {
                 let slot = (self.issued % u32::MAX as u64) as u32;
-                self.issue_with(slot, class, sched);
+                self.issue(slot, class, sched);
             }
             Verdict::Deferred => self.metrics.admit_deferred[class as usize & 7] += 1,
             Verdict::Rejected => self.metrics.admit_rejected[class as usize & 7] += 1,
@@ -775,7 +719,7 @@ impl Cluster {
     /// Launches one attempt of a request (fresh issue or retry): allocates
     /// a slot+generation, begins the write quorum, arms the per-request
     /// timer, and injects the plan's first-phase branch tokens.
-    pub(super) fn spawn_attempt(
+    fn spawn_attempt(
         &mut self,
         replicas: Vec<ServerId>,
         ticket: RetryTicket,
@@ -844,25 +788,14 @@ impl Cluster {
             *slot_r = id.0;
         }
         self.reqs[key as usize] = Some(InFlight {
+            ticket,
             plan,
             phase: 0,
             cursor: [0; MAX_BRANCHES],
             live: n as u8,
-            pool_idx: ticket.pool_idx,
-            b: ticket.b,
-            chunk_key: ticket.chunk_key,
-            block: ticket.block,
             replicas: rep,
-            issued_at: ticket.first_issued_at,
-            slot: ticket.slot,
-            is_read: ticket.is_read,
-            class: ticket.class,
             request_id,
-            attempt: ticket.attempt,
-            trace: ticket.trace,
-            root: ticket.root,
             step_span: [SpanId::NULL; MAX_BRANCHES],
-            seg: ticket.seg,
             sealed_len: if self.services.is_some() { c } else { 0 },
             cache_hit,
         });
@@ -879,7 +812,7 @@ impl Cluster {
     /// After a timeout (or a retry that found no healthy quorum): either
     /// schedule the next attempt after capped exponential backoff, or give
     /// up with an explicit write failure once retries are exhausted.
-    pub(super) fn fail_or_retry(&mut self, ticket: RetryTicket, sched: &mut Scheduler<Ev>) {
+    fn fail_or_retry(&mut self, ticket: RetryTicket, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         if ticket.attempt > self.cfg.max_retries {
             // Explicit quorum-failure error: the client learns the write
@@ -931,8 +864,8 @@ impl Cluster {
             self.tracer.span_close(sid, now);
         }
         self.tracer
-            .instant(req.trace, req.root, StageKind::Timeout, "request-timeout", 0, now);
-        if !req.is_read {
+            .instant(req.ticket.trace, req.ticket.root, StageKind::Timeout, "request-timeout", 0, now);
+        if !req.ticket.is_read {
             // Penalize only the replicas that stayed silent — the ones
             // that acked did their part.
             let acked: Vec<ServerId> =
@@ -947,20 +880,31 @@ impl Cluster {
                 self.metrics.aborts += 1;
             }
         }
-        let ticket = RetryTicket {
-            slot: req.slot,
-            pool_idx: req.pool_idx,
-            b: req.b,
-            chunk_key: req.chunk_key,
-            block: req.block,
-            attempt: req.attempt + 1,
-            first_issued_at: req.issued_at,
-            is_read: req.is_read,
-            class: req.class,
-            trace: req.trace,
-            root: req.root,
-            seg: req.seg,
-        };
+        let mut ticket = req.ticket;
+        ticket.attempt += 1;
         self.fail_or_retry(ticket, sched);
+    }
+
+    /// A retry's backoff elapsed: launch the next attempt, or burn one
+    /// when there is still no healthy quorum.
+    pub(super) fn retry(&mut self, boxed: Box<RetryTicket>, sched: &mut Scheduler<Ev>) {
+        // Copy the ticket out and recycle its box (bounded pool; in-flight
+        // retries are bounded by outstanding slots).
+        let mut ticket = (*boxed).clone();
+        if self.retry_boxes.len() < 256 {
+            self.retry_boxes.push(boxed);
+        }
+        if sched.now() < self.stop_issuing_at {
+            match self.selector.choose(self.cfg.replication) {
+                Some(replicas) => self.spawn_attempt(replicas, ticket, sched),
+                None => {
+                    // Still no healthy quorum: burn an attempt so an
+                    // extended outage converges to an explicit failure
+                    // instead of retrying forever.
+                    ticket.attempt += 1;
+                    self.fail_or_retry(ticket, sched);
+                }
+            }
+        }
     }
 }

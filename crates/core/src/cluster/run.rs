@@ -1,7 +1,7 @@
 //! The run driver: building the sharded simulation, routing faults, and
 //! the two run entry points.
 
-use super::{Cluster, Ev};
+use super::{Cluster, ClusterShard, Ev};
 use crate::design::{Driver, RunConfig};
 use crate::fabric::FluidKey;
 use crate::metrics::RunReport;
@@ -58,23 +58,13 @@ impl Cluster {
             FaultKind::ServerSlow { .. } | FaultKind::ServerNormal { .. } => {}
             FaultKind::LinkDegrade { link, fraction } => {
                 if let Some(fkey) = self.link_key(link) {
-                    self.touch(fkey);
-                    self.fabric
-                        .fluid_mut(fkey)
-                        .set_capacity_frac(now, fraction.clamp(0.0, 1.0));
-                    self.drain_fluid(fkey, sched);
-                    self.pump(sched);
+                    self.degrade(fkey.index(), fraction, sched);
                 }
             }
             FaultKind::TopoLinkDegrade { link, fraction } => {
-                let i = link as usize;
-                let Some(tn) = self.topo.as_mut().filter(|tn| i < tn.links.len()) else {
-                    return;
-                };
-                tn.links[i].set_capacity_frac(now, fraction.clamp(0.0, 1.0));
-                tn.touched |= 1u64 << i;
-                self.topo_drain(i, sched);
-                self.pump(sched);
+                if let Some(i) = self.link_wake(link) {
+                    self.degrade(i, fraction, sched);
+                }
             }
         }
     }
@@ -134,15 +124,42 @@ pub fn run_counted_stats(
     setup: impl FnOnce(&mut Cluster),
     threads: Option<usize>,
 ) -> (RunReport, Cluster, EngineStats) {
+    let end = cfg.warmup + cfg.measure;
+    let mut sim = build_sim(cfg, setup, threads, !defers_barrier_ops(cfg));
+    sim.schedule_at(0, end, Ev::RunEnd);
+    sim.run();
+    let end_time = sim.now(0).max(end);
+    let stats = sim.stats();
+    let cluster = Cluster::absorb_shards(sim.into_worlds());
+    let delta = cluster.fabric.traffic() - cluster.warmup_traffic;
+    let report = RunReport::build(
+        cfg.design.label(),
+        cfg.cores,
+        cfg.outstanding,
+        &cluster.metrics,
+        delta,
+        cfg.warmup,
+        end_time,
+    );
+    (report, cluster, stats)
+}
+
+/// Builds the sharded simulation of `cfg`: the cluster (adjusted by
+/// `setup`), split into its shards on `threads` workers, and every initial
+/// event up to the warm-up boundary — the fault plan, the periodic ticks
+/// and the load driver's first issues. `star` selects the hub-and-spoke
+/// pair matrix over the flat window. The caller schedules the run's end.
+pub(super) fn build_sim(
+    cfg: &RunConfig,
+    setup: impl FnOnce(&mut Cluster),
+    threads: Option<usize>,
+    star: bool,
+) -> ShardedSim<ClusterShard> {
     let mut cluster = Cluster::new(cfg.clone());
     setup(&mut cluster);
-    let warmup = cfg.warmup;
-    let end = cfg.warmup + cfg.measure;
-    cluster.stop_issuing_at = end;
-    if let Some(mlc) = cluster.mlc.take() {
-        let mut m = mlc;
+    cluster.stop_issuing_at = cfg.warmup + cfg.measure;
+    if let Some(m) = cluster.mlc.as_mut() {
         m.start(&mut cluster.fabric.mem, Time::ZERO);
-        cluster.mlc = Some(m);
     }
     let num_servers = cluster.num_servers;
     // The first tenant arrival is drawn before the hub moves into its
@@ -152,7 +169,7 @@ pub fn run_counted_stats(
     // (the flat wire constant without one).
     let lookahead = cfg.lookahead();
     let mut sim = ShardedSim::new(cluster.split_for_shards(), lookahead);
-    if !defers_barrier_ops(cfg) {
+    if star {
         // Messages only flow hub <-> store (stores never talk directly),
         // so the direct-latency matrix is a star: one wire hop to or from
         // shard 0, unreachable otherwise. The transitive closure then
@@ -187,7 +204,7 @@ pub fn run_counted_stats(
             // Stagger the initial closed-loop issues over the first
             // microseconds.
             for slot in 0..cfg.outstanding as u32 {
-                sim.schedule_at(0, Time::from_ps(200_000u64 * slot as u64 + 1), Ev::Issue(slot));
+                sim.schedule_at(0, Time::from_ps(200_000u64 * slot as u64 + 1), Ev::Issue(slot, 0));
             }
         }
         Driver::Poisson { .. } => {
@@ -202,23 +219,8 @@ pub fn run_counted_stats(
             }
         }
     }
-    sim.schedule_at(0, warmup, Ev::WarmupEnd);
-    sim.schedule_at(0, end, Ev::RunEnd);
-    sim.run();
-    let end_time = sim.now(0).max(end);
-    let stats = sim.stats();
-    let cluster = Cluster::absorb_shards(sim.into_worlds());
-    let delta = cluster.fabric.traffic() - cluster.warmup_traffic;
-    let report = RunReport::build(
-        cfg.design.label(),
-        cfg.cores,
-        cfg.outstanding,
-        &cluster.metrics,
-        delta,
-        warmup,
-        end_time,
-    );
-    (report, cluster, stats)
+    sim.schedule_at(0, cfg.warmup, Ev::WarmupEnd);
+    sim
 }
 
 /// The direct-latency matrix of the hub-and-spoke shard layout: one wire
@@ -232,131 +234,4 @@ fn star_lookahead(servers: usize, lookahead: Time) -> Vec<Vec<Time>> {
         row[0] = lookahead;
     }
     direct
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::design::Design;
-
-    fn quick(design: Design) -> RunConfig {
-        let mut c = RunConfig::saturating(design);
-        c.warmup = Time::from_ms(2.0);
-        c.measure = Time::from_ms(6.0);
-        c.outstanding = 96 * design.ports();
-        c.pool_blocks = 64;
-        c
-    }
-
-    #[test]
-    fn cpu_only_is_compression_bound_at_low_cores() {
-        let r = run(&quick(Design::CpuOnly).with_cores(4).with_outstanding(64));
-        // 4 cores × 2.1 Gbps ≈ 8.4 Gbps ceiling; expect to be near it.
-        assert!(
-            (5.0..10.0).contains(&r.throughput_gbps),
-            "4-core CPU-only throughput {:.2} Gbps",
-            r.throughput_gbps
-        );
-        assert!(r.writes_done > 1000, "writes {}", r.writes_done);
-    }
-
-    #[test]
-    fn smartds_reaches_port_scale_throughput_with_two_cores() {
-        let r = run(&quick(Design::SmartDs { ports: 1 }).with_cores(2));
-        assert!(
-            r.throughput_gbps > 40.0,
-            "SmartDS-1 on 2 cores: {:.2} Gbps",
-            r.throughput_gbps
-        );
-        // Host memory sees headers only (an order of magnitude below the
-        // ~90+90 Gbps a CPU-only middle tier consumes at this rate).
-        assert!(
-            r.mem_read_gbps + r.mem_write_gbps < 10.0,
-            "SmartDS host memory {:.2}+{:.2} Gbps",
-            r.mem_read_gbps,
-            r.mem_write_gbps
-        );
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        let cfg = quick(Design::Bf2);
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(a.writes_done, b.writes_done);
-        assert_eq!(a.throughput_gbps, b.throughput_gbps);
-        assert_eq!(a.p999_us, b.p999_us);
-    }
-
-    #[test]
-    fn star_lookahead_executes_the_flat_schedule_in_fewer_rounds() {
-        // The star matrix is a pure synchronization optimization: every
-        // simulated outcome must be bit-identical to the flat window's;
-        // only the round count may (and must) drop.
-        //
-        // `RunEnd` stops the run after the window it lands in, and how far
-        // the other shards got in that window depends on the window layout,
-        // so event totals of a stopped run include a layout-dependent tail.
-        // The comparison therefore runs drained, executing the whole
-        // schedule.
-        let mut cfg = quick(Design::SmartDs { ports: 2 });
-        cfg.outstanding = 128;
-        let (flat_metrics, flat) = run_drained(&cfg, 2, false);
-        for threads in [1usize, 4] {
-            let (metrics, star) = run_drained(&cfg, threads, true);
-            assert_eq!(
-                metrics, flat_metrics,
-                "the star changed the drained metrics"
-            );
-            assert_eq!(star.events, flat.events);
-            assert_eq!(star.messages, flat.messages);
-            assert!(
-                star.rounds < flat.rounds,
-                "the star should cut rounds: {} vs flat {}",
-                star.rounds,
-                flat.rounds
-            );
-        }
-    }
-
-    /// Runs a fair-weather closed-loop `cfg` on the sharded engine with no
-    /// `RunEnd` stop: issue ends at the end of the measurement window and
-    /// the run goes on until every request drains. `star` selects the
-    /// hub-and-spoke pair matrix over the flat window. Returns the metrics
-    /// (as `Debug` text) and the engine accounting.
-    fn run_drained(cfg: &RunConfig, threads: usize, star: bool) -> (String, EngineStats) {
-        let mut cluster = Cluster::new(cfg.clone());
-        cluster.stop_issuing_at = cfg.warmup + cfg.measure;
-        let servers = cluster.num_servers;
-        let mut sim =
-            ShardedSim::new(cluster.split_for_shards(), cfg.lookahead()).with_threads(threads);
-        if star {
-            sim = sim.with_pair_lookahead(star_lookahead(servers, cfg.lookahead()));
-        }
-        for slot in 0..cfg.outstanding as u32 {
-            sim.schedule_at(0, Time::from_ps(200_000u64 * slot as u64 + 1), Ev::Issue(slot));
-        }
-        sim.schedule_at(0, cfg.warmup, Ev::WarmupEnd);
-        sim.run();
-        let stats = sim.stats();
-        let cluster = Cluster::absorb_shards(sim.into_worlds());
-        (format!("{:?}", cluster.metrics), stats)
-    }
-
-    #[test]
-    fn stored_blocks_decompress_to_original_payloads() {
-        let (_, cluster, _) = run_counted_stats(&quick(Design::SmartDs { ports: 1 }), |_| {}, None);
-        let mut verified = 0usize;
-        for srv in &cluster.servers {
-            assert!(srv.appends() > 0, "every server should receive appends");
-            for (_, chunk) in srv.chunks() {
-                for (_, sb) in chunk.snapshot().iter().take(4) {
-                    let expanded = sb.expand().expect("stored block decodes");
-                    assert_eq!(expanded.len(), hwmodel::consts::BLOCK_SIZE);
-                    verified += 1;
-                }
-            }
-        }
-        assert!(verified >= 10, "verified {verified} stored blocks");
-    }
 }

@@ -230,21 +230,19 @@ impl Cluster {
     /// server.
     pub(super) fn split_for_shards(mut self) -> Vec<ClusterShard> {
         let servers = std::mem::take(&mut self.servers);
-        let wires: Vec<Time> = (0..servers.len())
-            .map(|i| self.rpc_latency(i as u32))
-            .collect();
         let mut shards: Vec<ClusterShard> = Vec::with_capacity(1 + servers.len());
-        shards.push(ClusterShard::Hub(Box::new(self)));
-        for (i, (server, wire)) in servers.into_iter().zip(wires).enumerate() {
+        for (i, server) in servers.into_iter().enumerate() {
             shards.push(ClusterShard::Store(StoreShard {
                 id: i as u32,
                 disk: DiskModel::nvme("storage-disk"),
                 server,
                 pending: BTreeMap::new(),
-                wire,
+                wire: self.rpc_latency(i as u32),
                 tag: simkit::ShardTag::new(1 + i as u32),
             }));
         }
+        // The hub is shard 0.
+        shards.insert(0, ClusterShard::Hub(Box::new(self)));
         shards
     }
 

@@ -1,11 +1,16 @@
 //! Fabric and rack-fabric transfers: the hub's fluid resources, the
 //! host-memory admission gate, completion draining and wakeup arming.
+//!
+//! Every hub fluid lives in one wake index space, driven by one
+//! [`simkit::WakeSet`]: the fabric's keys first (`0..FluidKey::count`),
+//! then the rack links. A flat cluster is a zero-hop fabric: it has no
+//! rack links, and every storage RPC delivers straight to the wire.
 
 use super::{AckMsg, AckOutcome, Cluster, Ev, StoreMsg, STORAGE_LOOKAHEAD};
-use crate::fabric::FluidKey;
+use crate::fabric::{Fabric, FluidKey};
 use crate::topology::{class_weight, TopoLink, Topology};
 use hwmodel::consts::{HEADER_SIZE, PCIE_PROPAGATION};
-use simkit::{FlowSpec, FluidResource, Scheduler, Time, WakeCoalescer};
+use simkit::{FlowSpec, FluidResource, Scheduler, Time};
 use std::collections::BTreeMap;
 
 /// Admission window in front of host memory: the I/O path acts as one
@@ -43,15 +48,14 @@ struct TopoTransfer {
 
 /// The rack-scale fabric: ToR and spine fluid links (hub-owned — storage
 /// RPCs serialize through them before the cross-shard hand-off, so the
-/// shard engine's lookahead still covers the residual propagation).
+/// shard engine's lookahead still covers the residual propagation). A
+/// flat cluster has no links and never holds a transfer.
 #[derive(Debug)]
 pub(super) struct TopoNet {
     /// Fluid links indexed by [`TopoLink::index`].
-    pub(super) links: Vec<FluidResource>,
-    /// Per-link wakeup coalescers, mirroring the fabric's.
-    pub(super) coal: Vec<WakeCoalescer>,
-    /// Bitmask of links touched since the last arming pass.
-    pub(super) touched: u64,
+    links: Vec<FluidResource>,
+    /// Wake index of link 0: the fabric's keys come first.
+    base: usize,
     /// In-transit messages keyed by transfer token.
     transfers: BTreeMap<u64, TopoTransfer>,
     next_tok: u64,
@@ -62,75 +66,78 @@ pub(super) struct TopoNet {
 }
 
 impl TopoNet {
-    pub(super) fn new(t: &Topology) -> TopoNet {
-        let n = TopoLink::count(t.racks);
-        assert!(n <= 64, "topo touched bitmask holds at most 64 links");
-        TopoNet {
-            links: (0..n)
+    /// The links of `topology` (none for a flat cluster), numbered from
+    /// wake index `base` on.
+    pub(super) fn new(topology: Option<&Topology>, base: usize) -> TopoNet {
+        let links = match topology {
+            Some(t) => (0..TopoLink::count(t.racks))
                 .map(|i| {
                     let l = TopoLink::from_index(i);
                     FluidResource::new(l.name(), t.capacity(l))
                 })
                 .collect(),
-            coal: (0..n).map(|_| WakeCoalescer::new()).collect(),
-            touched: 0,
+            None => Vec::new(),
+        };
+        TopoNet {
+            links,
+            base,
             transfers: BTreeMap::new(),
             next_tok: 0,
             done: Vec::new(),
             deliveries: Vec::new(),
         }
     }
+
+    /// Size of the wake index space: the fabric's keys plus the links.
+    pub(super) fn wake_count(&self) -> usize {
+        self.base + self.links.len()
+    }
+}
+
+/// The fluid behind wake index `i`.
+pub(super) fn wake_fluid<'a>(fabric: &'a Fabric, topo: &'a TopoNet, i: usize) -> &'a FluidResource {
+    match i.checked_sub(topo.base) {
+        None => fabric.fluid(FluidKey::from_index(i)),
+        Some(link) => &topo.links[link],
+    }
 }
 
 impl Cluster {
     pub(super) fn touch(&mut self, key: FluidKey) {
-        self.touched |= 1 << key.index();
+        self.wakes.touch(key.index());
     }
 
-    pub(super) fn arm_touched(&mut self, sched: &mut Scheduler<Ev>) {
-        let mask = std::mem::take(&mut self.touched);
-        let mut bits = mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let key = FluidKey::from_index(i);
-            let fluid = self.fabric.fluid(key);
-            let want = fluid.next_wake().map(|at| at.max(sched.now()));
-            let epoch = fluid.epoch();
-            let (a, b) = self.wake_coal[i].arm(want, epoch, || sched.reserve_seq());
-            for e in [a, b].into_iter().flatten() {
-                match e.seq {
-                    Some(seq) => {
-                        sched.schedule_at_seq(e.at, seq, Ev::Wake(key, e.epoch, e.serial))
-                    }
-                    None => sched.schedule_at(e.at, Ev::Wake(key, e.epoch, e.serial)),
-                }
-            }
+    /// The one arming pass of a handled event: re-arms every fabric key
+    /// and rack link the event touched, in ascending wake index order.
+    pub(super) fn arm_wakes(&mut self, sched: &mut Scheduler<Ev>) {
+        let (fabric, topo) = (&self.fabric, &self.topo);
+        self.wakes.arm(sched, |i| wake_fluid(fabric, topo, i), Ev::Wake);
+    }
+
+    /// Processes completions on wake index `i`.
+    pub(super) fn drain(&mut self, i: usize, sched: &mut Scheduler<Ev>) {
+        match i.checked_sub(self.topo.base) {
+            None => self.drain_fluid(FluidKey::from_index(i), sched),
+            Some(link) => self.topo_drain(link, sched),
         }
     }
 
-    /// Mirrors [`arm_touched`](Self::arm_touched) for the rack-fabric
-    /// links: one coalesced wakeup per touched link.
-    pub(super) fn arm_topo(&mut self, sched: &mut Scheduler<Ev>) {
-        let Some(tn) = self.topo.as_mut() else {
-            return;
+    /// A link-degrade fault on wake index `i`: set the capacity, then
+    /// drain what the change completed and pump.
+    pub(super) fn degrade(&mut self, i: usize, fraction: f64, sched: &mut Scheduler<Ev>) {
+        let fluid = match i.checked_sub(self.topo.base) {
+            None => self.fabric.fluid_mut(FluidKey::from_index(i)),
+            Some(link) => &mut self.topo.links[link],
         };
-        let mut bits = std::mem::take(&mut tn.touched);
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let want = tn.links[i].next_wake().map(|at| at.max(sched.now()));
-            let epoch = tn.links[i].epoch();
-            let (a, b) = tn.coal[i].arm(want, epoch, || sched.reserve_seq());
-            for e in [a, b].into_iter().flatten() {
-                match e.seq {
-                    Some(seq) => {
-                        sched.schedule_at_seq(e.at, seq, Ev::TopoWake(i as u16, e.epoch, e.serial))
-                    }
-                    None => sched.schedule_at(e.at, Ev::TopoWake(i as u16, e.epoch, e.serial)),
-                }
-            }
-        }
+        fluid.set_capacity_frac(sched.now(), fraction.clamp(0.0, 1.0));
+        self.drain(i, sched);
+        self.pump(sched);
+    }
+
+    /// Wake index of rack link `link`, when the fabric has it.
+    pub(super) fn link_wake(&self, link: u16) -> Option<usize> {
+        let link = link as usize;
+        (link < self.topo.links.len()).then_some(self.topo.base + link)
     }
 
     /// Hub ↔ `server` propagation delay: the topology's path latency when a
@@ -177,8 +184,9 @@ impl Cluster {
     }
 
     /// Puts a storage RPC (or its ack) onto the rack fabric: in-rack
-    /// traffic delivers directly, cross-rack traffic serializes through
-    /// its hop sequence under the class's weight.
+    /// traffic (all traffic of a flat cluster) delivers directly,
+    /// cross-rack traffic serializes through its hop sequence under the
+    /// class's weight.
     pub(super) fn topo_launch(&mut self, payload: TopoPayload, sched: &mut Scheduler<Ev>) {
         let (server, bytes, class) = match &payload {
             TopoPayload::Out(m) => (
@@ -203,10 +211,7 @@ impl Cluster {
             return;
         }
         let now = sched.now();
-        let Some(tn) = self.topo.as_mut() else {
-            // No fabric (flat cluster): nothing serializes.
-            return self.topo_deliver(payload, sched);
-        };
+        let tn = &mut self.topo;
         let tok = tn.next_tok;
         tn.next_tok += 1;
         let first = hops[0] as usize;
@@ -216,7 +221,7 @@ impl Cluster {
             FlowSpec::new().class(class & 7).weight(class_weight(class)),
             tok,
         );
-        tn.touched |= 1u64 << first;
+        self.wakes.touch(tn.base + first);
         tn.transfers.insert(
             tok,
             TopoTransfer { payload, hops, nhops, hop: 0, bytes, class },
@@ -237,18 +242,16 @@ impl Cluster {
 
     /// Processes completions on fabric link `link`: advance each finished
     /// transfer to its next hop, or deliver it.
-    pub(super) fn topo_drain(&mut self, link: usize, sched: &mut Scheduler<Ev>) {
+    fn topo_drain(&mut self, link: usize, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
-        let Some(tn) = self.topo.as_mut() else {
-            return;
-        };
+        let tn = &mut self.topo;
         // Completions and deliveries drain through reused scratch buffers,
         // as in `drain_fluid`: steady-state this path allocates no Vec.
         let mut done = std::mem::take(&mut tn.done);
         let mut deliveries = std::mem::take(&mut tn.deliveries);
         tn.links[link].sync(now);
         tn.links[link].take_completed_into(&mut done);
-        tn.touched |= 1u64 << link;
+        self.wakes.touch(tn.base + link);
         for end in done.drain(..) {
             let Some(mut tr) = tn.transfers.remove(&end.token) else {
                 continue;
@@ -262,7 +265,7 @@ impl Cluster {
                     FlowSpec::new().class(tr.class & 7).weight(class_weight(tr.class)),
                     end.token,
                 );
-                tn.touched |= 1u64 << nxt;
+                self.wakes.touch(tn.base + nxt);
                 tn.transfers.insert(end.token, tr);
             } else {
                 deliveries.push(tr.payload);
@@ -272,9 +275,7 @@ impl Cluster {
         for p in deliveries.drain(..) {
             self.topo_deliver(p, sched);
         }
-        if let Some(tn) = self.topo.as_mut() {
-            tn.deliveries = deliveries;
-        }
+        self.topo.deliveries = deliveries;
     }
 
     /// Admits a host-memory burst through the bounded I/O memory agent.
@@ -309,7 +310,7 @@ impl Cluster {
 
     /// Processes fluid completions for `key`, routing PCIe completions
     /// through the link's propagation delay.
-    pub(super) fn drain_fluid(&mut self, key: FluidKey, sched: &mut Scheduler<Ev>) {
+    fn drain_fluid(&mut self, key: FluidKey, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         // Completions drain through a reused scratch buffer: steady-state
         // this path allocates nothing.
@@ -339,28 +340,18 @@ impl Cluster {
         self.fluid_done = done;
     }
 
-    /// Dispatches a storage RPC to its server's shard through the
-    /// cross-shard mailbox. The flat-wire delay equals the engine's
-    /// conservative lookahead, so the send is always legal.
+    /// Dispatches a storage RPC to its server's shard: through its rack
+    /// fabric hops first, then across the wire through the cross-shard
+    /// mailbox (propagation is charged at delivery).
     pub(super) fn send_store(&mut self, msg: StoreMsg, sched: &mut Scheduler<Ev>) {
-        if self.topo.is_some() {
-            // Rack fabric: serialize through the ToR/spine hop sequence
-            // first; propagation is charged at delivery.
-            self.topo_launch(TopoPayload::Out(msg), sched);
-        } else {
-            sched.send(1 + msg.server, STORAGE_LOOKAHEAD, Ev::StoreArrive(msg));
-        }
+        self.topo_launch(TopoPayload::Out(msg), sched);
     }
 
     /// Syncs every fluid to `now` so cumulative counters are exact, without
     /// losing any completions.
     pub(super) fn sync_all(&mut self, sched: &mut Scheduler<Ev>) {
-        for i in 0..FluidKey::count(self.cfg.design.ports()) {
-            self.drain_fluid(FluidKey::from_index(i), sched);
-        }
-        let topo_links = self.topo.as_ref().map(|t| t.links.len()).unwrap_or(0);
-        for i in 0..topo_links {
-            self.topo_drain(i, sched);
+        for i in 0..self.topo.wake_count() {
+            self.drain(i, sched);
         }
         self.pump(sched);
     }

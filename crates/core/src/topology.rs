@@ -10,15 +10,12 @@
 //! gives each its capacity and each hub↔server path its propagation
 //! latency, and derives the conservative-parallelism lookahead window
 //! (the minimum hub↔server latency) consumed by `simkit::ShardedSim`.
-//! The fluid-flow state lives with the hub in `cluster::TopoNet`; this
-//! module deliberately holds no mutable simulation state.
+//! The fluid-flow state lives with the hub (the cluster's `TopoNet`, in
+//! one wake index space with the hub's fabric); this module deliberately
+//! holds no mutable simulation state.
 
 use hwmodel::consts::{NET_PROPAGATION, PORT_100G};
 use simkit::{to_gbps, Time};
-
-/// Number of racks above which the hub's `u64` touched-link bitmask (and
-/// good sense) would overflow.
-pub const MAX_RACKS: usize = 30;
 
 /// A multi-rack fabric: `racks × servers_per_rack` storage servers, one
 /// ToR uplink pair per rack, one spine trunk, and the middle-tier hub
@@ -99,12 +96,16 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics on an empty fabric, an out-of-range hub rack, a rack count
-    /// beyond [`MAX_RACKS`], non-positive capacities, or a zero ToR
-    /// latency (the lookahead window would collapse).
+    /// Panics on an empty fabric, more racks than `u16` link indices can
+    /// name, an out-of-range hub rack, non-positive capacities, or a zero
+    /// ToR latency (the lookahead window would collapse).
     pub fn validate(&self) {
         assert!(self.racks > 0 && self.servers_per_rack > 0, "empty fabric");
-        assert!(self.racks <= MAX_RACKS, "at most {MAX_RACKS} racks");
+        assert!(
+            TopoLink::count(self.racks) <= 1 << 16,
+            "rack links are u16-indexed: {} racks is too many",
+            self.racks
+        );
         if let Some(r) = self.hub_rack {
             assert!(r < self.racks, "hub rack {r} out of range");
         }
@@ -292,7 +293,7 @@ mod tests {
 
     #[test]
     fn link_index_round_trips() {
-        for racks in [1usize, 3, 30] {
+        for racks in [1usize, 3, 40] {
             for i in 0..TopoLink::count(racks) {
                 let l = TopoLink::from_index(i);
                 assert_eq!(l.index(), i, "{l:?}");
@@ -300,7 +301,6 @@ mod tests {
             }
         }
         assert_eq!(TopoLink::RackDown(2).index(), 9);
-        assert!(TopoLink::count(MAX_RACKS) <= 64, "touched bitmask is u64");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! instant known when the job starts, so these stations schedule exactly
 //! one event per job and never re-arm: no fluid wakeups originate here.
 //! Rate-shared resources (links, memory, PCIe) instead live in the
-//! cluster driver, where a per-resource [`simkit::wake::WakeCoalescer`]
-//! holds the one-armed-wakeup invariant.
+//! cluster hub, where one [`simkit::WakeSet`] over all of them holds the
+//! one-armed-wakeup invariant.
 
 use crate::consts::{
     cpu_lz4_capacity, BF2_ARM_SLOWDOWN, BF2_ENGINE_BW, CACHE_LOOKUP, CPU_CRYPT_BW, CPU_DEDUP_BW,

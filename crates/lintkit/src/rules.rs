@@ -1081,14 +1081,14 @@ mod tests {
     #[test]
     fn span_balance_flags_dropped_opens() {
         let src = "fn f(tr: &mut Tracer) { tr.span_open(a, b, now); }\n";
-        let d = rust("crates/core/src/cluster.rs", src);
+        let d = rust("crates/core/src/cluster/request.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "span-balance");
         assert_eq!(d[0].line, 1);
         // Two statement-position opens against one close: one report.
         let two = "fn f(tr: &mut Tracer) {\n    tr.span_open(a);\n    tr.span_open(b);\n    \
                    tr.span_close(id, now);\n}\n";
-        let d = rust("crates/core/src/cluster.rs", two);
+        let d = rust("crates/core/src/cluster/request.rs", two);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 3, "the later open is the unmatched one");
     }
@@ -1097,19 +1097,19 @@ mod tests {
     fn span_balance_accepts_balanced_captured_and_definitions() {
         // Open and close in the same body.
         let ok = "fn f(tr: &mut Tracer) { tr.span_open(a); tr.span_close(id, now); }\n";
-        assert!(rust("crates/core/src/cluster.rs", ok).is_empty());
+        assert!(rust("crates/core/src/cluster/request.rs", ok).is_empty());
         // Captured into a binding (parked and closed elsewhere).
         let cap = "fn f(tr: &mut Tracer) { let sid = self.tracer.span_open(a); park(sid); }\n";
-        assert!(rust("crates/core/src/cluster.rs", cap).is_empty());
+        assert!(rust("crates/core/src/cluster/request.rs", cap).is_empty());
         // Returned to the caller.
         let ret = "fn f(tr: &mut Tracer) -> SpanId { return tr.span_open(a); }\n";
-        assert!(rust("crates/core/src/cluster.rs", ret).is_empty());
+        assert!(rust("crates/core/src/cluster/request.rs", ret).is_empty());
         // The method definition itself is not a call site.
         let def = "impl Tracer { pub fn span_open(&mut self) -> SpanId { SpanId(0) } }\n";
         assert!(rust("crates/tracekit/src/tracer.rs", def).is_empty());
         // Test code is exempt.
         let test = "#[cfg(test)]\nmod tests { fn f(tr: &mut Tracer) { tr.span_open(a); } }\n";
-        assert!(rust("crates/core/src/cluster.rs", test).is_empty());
+        assert!(rust("crates/core/src/cluster/request.rs", test).is_empty());
         // Non-sim crates are out of scope.
         let other = "fn f(tr: &mut Tracer) { tr.span_open(a); }\n";
         assert!(rust("crates/bench/src/breakdown.rs", other).is_empty());

@@ -42,13 +42,23 @@ pub struct ShardConfig {
     pub domains: Vec<ShardDomain>,
 }
 
+/// The hub's source files (`crates/core/src/cluster/`): both shard
+/// domains govern every one of them.
+const HUB_FILES: [&str; 5] = [
+    "crates/core/src/cluster/mod.rs",
+    "crates/core/src/cluster/request.rs",
+    "crates/core/src/cluster/run.rs",
+    "crates/core/src/cluster/store.rs",
+    "crates/core/src/cluster/transfer.rs",
+];
+
 impl ShardConfig {
     /// The built-in default, mirroring `crates/lintkit/shard_owned.txt`.
     pub fn builtin() -> Self {
         ShardConfig {
             domains: vec![ShardDomain {
                 name: "store".to_string(),
-                files: vec!["crates/core/src/cluster.rs".to_string()],
+                files: HUB_FILES.iter().map(|s| s.to_string()).collect(),
                 owned: [
                     "append",
                     "chunk_mut",
@@ -75,7 +85,7 @@ impl ShardConfig {
             },
             ShardDomain {
                 name: "services".to_string(),
-                files: vec!["crates/core/src/cluster.rs".to_string()],
+                files: HUB_FILES.iter().map(|s| s.to_string()).collect(),
                 owned: [
                     "cache_fill",
                     "cache_probe",
@@ -167,7 +177,7 @@ mod tests {
 
     #[test]
     fn parses_the_builtin_format() {
-        let text = "# comment\n[store]\nfiles = crates/core/src/cluster.rs\n\
+        let text = "# comment\n[store]\nfiles = crates/core/src/cluster/mod.rs\n\
                     owned = append fetch\nexempt-fn = store_finish\nexempt-impl = StoreShard\n";
         let cfg = ShardConfig::parse(text).unwrap();
         assert_eq!(cfg.domains.len(), 1);
@@ -175,7 +185,7 @@ mod tests {
         assert_eq!(d.name, "store");
         assert_eq!(d.owned, ["append", "fetch"]);
         assert_eq!(d.exempt_impls, ["StoreShard"]);
-        assert_eq!(cfg.domains_for("crates/core/src/cluster.rs").count(), 1);
+        assert_eq!(cfg.domains_for("crates/core/src/cluster/mod.rs").count(), 1);
         assert_eq!(cfg.domains_for("crates/core/src/api.rs").count(), 0);
     }
 

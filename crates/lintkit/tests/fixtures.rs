@@ -118,7 +118,7 @@ fn wall_clock_types_are_flagged_everywhere_but_bench() {
 #[test]
 fn thread_sleep_is_flagged() {
     let diags = lint_rust_file(
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "pub fn nap() { std::thread::sleep(std::time::Duration::from_millis(1)); }\n",
     );
     assert_eq!(rules_of(&diags), ["wall-clock"]);
@@ -209,7 +209,7 @@ fn shared_mutable_types_flagged_in_sim_crate_libs() {
     let src = "use std::sync::Mutex;\n\
                pub struct S { m: Mutex<u64>, a: std::sync::atomic::AtomicU64 }\n\
                static mut COUNTER: u64 = 0;\n";
-    let diags = lint_rust_file("crates/core/src/cluster.rs", src);
+    let diags = lint_rust_file("crates/core/src/cluster/mod.rs", src);
     let rules = rules_of(&diags);
     assert!(rules.iter().all(|r| *r == "shared-mutable"), "{diags:?}");
     // use-decl, Mutex field, AtomicU64 field, static mut: four findings.
@@ -253,7 +253,7 @@ fn shared_mutable_allowed_and_clean_cases() {
     assert!(lint_rust_file("crates/testkit/src/runner.rs", src).is_empty());
     // Test code inside a sim crate is exempt.
     let test = "#[cfg(test)]\nmod tests { use std::sync::Mutex;\n fn f() { Mutex::new(0); } }\n";
-    assert!(lint_rust_file("crates/core/src/cluster.rs", test).is_empty());
+    assert!(lint_rust_file("crates/core/src/cluster/mod.rs", test).is_empty());
     // Arc alone is fine: immutable sharing is not shared *mutable* state.
     let arc = "use std::sync::Arc;\npub struct S { b: Arc<[u8]> }\n";
     assert!(lint_rust_file("crates/simkit/src/bytes.rs", arc).is_empty());
@@ -266,7 +266,7 @@ fn owned_method_call_outside_exempt_context_is_flagged() {
     let src = "impl Cluster {\n\
                    fn sneaky(&mut self) { self.servers[0].set_alive(false); }\n\
                }\n";
-    let diags = lint_rust_file("crates/core/src/cluster.rs", src);
+    let diags = lint_rust_file("crates/core/src/cluster/mod.rs", src);
     assert_eq!(rules_of(&diags), ["cross-shard-access"], "{diags:?}");
     assert_eq!(diags[0].line, 2);
     assert!(diags[0].msg.contains("sneaky"), "{}", diags[0].msg);
@@ -277,15 +277,15 @@ fn owned_method_call_outside_exempt_context_is_flagged() {
 fn exempt_fns_and_impls_may_touch_owned_state() {
     // The audited post-run audit helper by name…
     let helper = "fn verify_stored(server: &StorageServer) { server.chunks(); }\n";
-    assert!(lint_rust_file("crates/core/src/cluster.rs", helper).is_empty());
+    assert!(lint_rust_file("crates/core/src/cluster/mod.rs", helper).is_empty());
     // …and anything inside the shard world's own impl.
     let shard = "impl World for StoreShard {\n\
                      fn handle(&mut self) { self.server.set_alive(true); }\n\
                  }\n";
-    assert!(lint_rust_file("crates/core/src/cluster.rs", shard).is_empty());
+    assert!(lint_rust_file("crates/core/src/cluster/mod.rs", shard).is_empty());
     // Barrier operations are exempt fns too.
     let global = "fn scrub_global(hub: &mut Cluster) { hub.scrubber.scrub_with(srv, f); }\n";
-    assert!(lint_rust_file("crates/core/src/cluster.rs", global).is_empty());
+    assert!(lint_rust_file("crates/core/src/cluster/mod.rs", global).is_empty());
 }
 
 #[test]
@@ -295,12 +295,12 @@ fn cross_shard_access_scoped_to_domain_files_and_calls() {
     assert!(lint_rust_file("crates/core/src/agent.rs", src).is_empty());
     // The method *definition* is not a call site (no leading dot).
     let def = "impl StorageServer { pub fn set_alive(&mut self, v: bool) {} }\n";
-    assert!(lint_rust_file("crates/core/src/cluster.rs", def).is_empty());
+    assert!(lint_rust_file("crates/core/src/cluster/mod.rs", def).is_empty());
     // An allow with a reason suppresses a justified sequential-mode site.
     let allowed = "impl Cluster { fn f(&mut self) {\n\
                    // simlint: allow(cross-shard-access, reason = \"sequential mode\")\n\
                    self.servers[0].set_alive(false);\n} }\n";
-    assert!(lint_rust_file("crates/core/src/cluster.rs", allowed).is_empty());
+    assert!(lint_rust_file("crates/core/src/cluster/mod.rs", allowed).is_empty());
 }
 
 // --------------------------------------------------------- float-fold-order

@@ -12,8 +12,8 @@
 //! **Wakeup discipline.** Endpoints are driven entirely by explicit
 //! packet/timer events from the surrounding driver — they own no
 //! [`simkit::FluidResource`] and therefore schedule no fluid wakeups.
-//! All fluid arming in the system goes through the per-resource
-//! [`simkit::wake::WakeCoalescer`] in the cluster driver, which keeps at
+//! All fluid arming in the system goes through a [`simkit::WakeSet`]
+//! (the cluster hub's, over its fabric and rack links), which keeps at
 //! most one armed heap entry per resource; keeping this crate
 //! wakeup-free is what makes that invariant checkable in one place.
 

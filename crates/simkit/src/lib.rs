@@ -12,6 +12,9 @@
 //! * [`Time`] — integer-picosecond instants and durations.
 //! * [`FluidResource`] — weighted max-min fair bandwidth sharing
 //!   (links, PCIe, memory channels, HBM, compression engines).
+//! * [`WakeSet`] — the wakeup driver for a set of fluid resources: at most
+//!   one armed heap entry each, schedule-equivalent to re-arming after
+//!   every event.
 //! * [`ServerPool`] — k-server FIFO queues (CPU cores, Arm cores).
 //! * [`Histogram`] — HDR-style latency histogram (mean/p99/p999).
 //! * [`Meter`] — windowed throughput meters that exclude warm-up.
@@ -90,7 +93,7 @@ pub use engine::{Scheduler, Simulation, World};
 pub use sanitizer::ShardTag;
 pub use shard::{env_threads, EngineStats, ShardWorld, ShardedSim};
 pub use fluid::{FlowEnd, FlowId, FlowSpec, FluidResource};
-pub use wake::{WakeCoalescer, WakeEmit};
+pub use wake::WakeSet;
 pub use hist::Histogram;
 pub use meter::Meter;
 pub use rng::Rng;

@@ -1,12 +1,14 @@
 //! Wakeup coalescing for fluid-resource drivers.
 //!
-//! The driving protocol (see [`crate::fluid`]) re-arms a wakeup after every
-//! batch that touches a resource. A naive driver pushes a heap entry each
-//! time; under churn almost all of those entries are stale by the time they
-//! surface (their epoch no longer matches), so the scheduler heap fills
-//! with no-ops and every real event pays `O(log heap)` for them.
+//! The driving protocol (see [`FluidResource`]) re-arms a wakeup after
+//! every batch that touches a resource. A naive driver pushes a heap entry
+//! each time; under churn almost all of those entries are stale by the
+//! time they surface (their epoch no longer matches), so the scheduler
+//! heap fills with no-ops and every real event pays `O(log heap)` for
+//! them.
 //!
-//! [`WakeCoalescer`] keeps **at most one armed heap entry per resource**
+//! [`WakeSet`] is the one driver: it owns a fixed set of resources,
+//! indexed `0..n`, and keeps **at most one armed heap entry per resource**
 //! (the *sentinel*) plus at most one *deferred* wake that exists only as a
 //! reserved FIFO sequence number. The protocol is constructed so the
 //! resulting simulation is **indistinguishable** from the naive driver —
@@ -29,53 +31,89 @@
 //!
 //! The heap thus holds the naive driver's entries minus provably-stale
 //! ones; everything that survives is delivered at the same instant with
-//! the same tie-break rank.
+//! the same tie-break rank. Resources are armed in ascending index order,
+//! so the sequence numbers one arming pass reserves are a pure function of
+//! which resources it touched.
 //!
 //! # Driver usage
 //!
-//! ```text
-//! // When re-arming after a batch (per touched resource):
-//! let (a, b) = coal.arm(fluid.next_wake().map(|t| t.max(now)), fluid.epoch(),
-//!                       || sched.reserve_seq());
-//! for e in [a, b].into_iter().flatten() {
-//!     match e.seq {
-//!         Some(seq) => sched.schedule_at_seq(e.at, seq, Ev::Wake(key, e.epoch, e.serial)),
-//!         None => sched.schedule_at(e.at, Ev::Wake(key, e.epoch, e.serial)),
+//! ```
+//! use simkit::{gbps, FlowSpec, FluidResource, Scheduler, Simulation, Time, WakeSet, World};
+//!
+//! #[derive(Debug)]
+//! enum Ev {
+//!     Start,
+//!     Wake(usize, u64, u64), // resource index, epoch, serial
+//! }
+//!
+//! struct Net {
+//!     links: Vec<FluidResource>,
+//!     wakes: WakeSet,
+//!     done: Vec<u64>,
+//! }
+//!
+//! impl World for Net {
+//!     type Event = Ev;
+//!     fn handle(&mut self, ev: Ev, sched: &mut Scheduler<Ev>) {
+//!         if let Ev::Wake(i, epoch, serial) = ev {
+//!             // Sentinel bookkeeping first, then the epoch check.
+//!             let current = self.links[i].epoch();
+//!             if !self.wakes.deliver(sched, i, epoch, serial, current, Ev::Wake) {
+//!                 return; // stale, same as the naive driver
+//!             }
+//!             self.links[i].sync(sched.now());
+//!             self.done.extend(self.links[i].take_completed().iter().map(|e| e.token));
+//!             self.wakes.touch(i);
+//!         }
+//!         // One arming pass per handled event, over every touched resource.
+//!         let links = &self.links;
+//!         self.wakes.arm(sched, |i| &links[i], Ev::Wake);
 //!     }
 //! }
 //!
-//! // On delivery of Ev::Wake(key, epoch, serial), BEFORE the epoch check:
-//! if let Some(e) = coal.on_delivery(serial, fluid.epoch()) {
-//!     sched.schedule_at_seq(e.at, e.seq.unwrap(), Ev::Wake(key, e.epoch, e.serial));
-//! }
-//! if epoch != fluid.epoch() { return; } // stale, same as the naive driver
+//! let mut net = Net {
+//!     links: vec![FluidResource::new("a", gbps(100.0)), FluidResource::new("b", gbps(50.0))],
+//!     wakes: WakeSet::new(2),
+//!     done: Vec::new(),
+//! };
+//! net.links[0].start_flow(Time::ZERO, 8192.0, FlowSpec::new(), 1);
+//! net.links[1].start_flow(Time::ZERO, 4096.0, FlowSpec::new(), 2);
+//! net.wakes.touch(0);
+//! net.wakes.touch(1);
+//! let mut sim = Simulation::new(net);
+//! sim.schedule_at(Time::ZERO, Ev::Start);
+//! sim.run();
+//! assert_eq!(sim.world().done, vec![1, 2]);
 //! ```
 //!
+//! [`FluidResource`]: crate::FluidResource
 //! [`Scheduler::schedule_at`]: crate::Scheduler::schedule_at
 //! [`Scheduler::reserve_seq`]: crate::Scheduler::reserve_seq
 //! [`Scheduler::schedule_at_seq`]: crate::Scheduler::schedule_at_seq
 
+use crate::engine::Scheduler;
+use crate::fluid::FluidResource;
 use crate::time::Time;
 
 /// An instruction to push one wake event into the scheduler.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct WakeEmit {
+pub(crate) struct WakeEmit {
     /// Delivery instant.
-    pub at: Time,
+    pub(crate) at: Time,
     /// The fluid epoch the wake was armed under (checked on delivery).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The coalescer serial to embed in the event (identifies the
     /// sentinel on delivery).
-    pub serial: u64,
+    pub(crate) serial: u64,
     /// `Some(seq)`: push via `schedule_at_seq` under this pre-reserved
     /// FIFO rank. `None`: push via plain `schedule_at`.
-    pub seq: Option<u64>,
+    pub(crate) seq: Option<u64>,
 }
 
 /// Per-resource wakeup coalescing state. See the module documentation for
 /// the protocol and its equivalence argument.
 #[derive(Debug, Default)]
-pub struct WakeCoalescer {
+pub(crate) struct WakeCoalescer {
     /// The one heap entry this resource tracks: `(at, serial)`.
     armed: Option<(Time, u64)>,
     /// The one not-yet-pushed wake: `(at, epoch, reserved seq)`.
@@ -87,7 +125,8 @@ pub struct WakeCoalescer {
 
 impl WakeCoalescer {
     /// A coalescer with nothing armed.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    fn new() -> Self {
         Self::default()
     }
 
@@ -123,7 +162,7 @@ impl WakeCoalescer {
     /// would have pushed an entry that this coalescer defers.
     ///
     /// Returns up to two [`WakeEmit`]s the caller must execute in order.
-    pub fn arm(
+    fn arm(
         &mut self,
         want: Option<Time>,
         epoch: u64,
@@ -182,7 +221,7 @@ impl WakeCoalescer {
     /// the sentinel, the deferred wake (if any) is resolved: the returned
     /// emit (if some) must be pushed via `schedule_at_seq` and becomes the
     /// new sentinel.
-    pub fn on_delivery(&mut self, serial: u64, current_epoch: u64) -> Option<WakeEmit> {
+    fn on_delivery(&mut self, serial: u64, current_epoch: u64) -> Option<WakeEmit> {
         match self.armed {
             Some((_, s)) if s == serial => {
                 self.armed = None;
@@ -199,6 +238,93 @@ impl WakeCoalescer {
             // driver would.
             _ => None,
         }
+    }
+}
+
+/// The wakeup driver for a fixed set of fluid resources, indexed `0..n`:
+/// one coalescer per resource plus the set of resources touched since the
+/// last arming pass. See the module documentation for the protocol.
+#[derive(Debug)]
+pub struct WakeSet {
+    coal: Vec<WakeCoalescer>,
+    /// One bit per resource, set by [`WakeSet::touch`] and cleared by
+    /// [`WakeSet::arm`].
+    touched: Vec<u64>,
+}
+
+impl WakeSet {
+    /// A driver for `n` resources with nothing armed or touched.
+    pub fn new(n: usize) -> Self {
+        WakeSet {
+            coal: (0..n).map(|_| WakeCoalescer::default()).collect(),
+            touched: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Marks resource `i` for the next arming pass: call it whenever a
+    /// handler starts, ends or re-rates flows on the resource.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn touch(&mut self, i: usize) {
+        assert!(i < self.coal.len(), "resource {i} out of range");
+        self.touched[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Re-arms every touched resource, in ascending index order, and
+    /// clears the touched set. `fluid_of(i)` is resource `i`;
+    /// `make_event(i, epoch, serial)` builds its wake event, which the
+    /// handler passes back to [`WakeSet::deliver`].
+    pub fn arm<'f, E>(
+        &mut self,
+        sched: &mut Scheduler<E>,
+        fluid_of: impl Fn(usize) -> &'f FluidResource,
+        make_event: impl Fn(usize, u64, u64) -> E,
+    ) {
+        let now = sched.now();
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let fluid = fluid_of(i);
+                let want = fluid.next_wake().map(|at| at.max(now));
+                let (a, b) = self.coal[i].arm(want, fluid.epoch(), || sched.reserve_seq());
+                for e in [a, b].into_iter().flatten() {
+                    let ev = make_event(i, e.epoch, e.serial);
+                    match e.seq {
+                        Some(seq) => sched.schedule_at_seq(e.at, seq, ev),
+                        None => sched.schedule_at(e.at, ev),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Handles the delivery of resource `i`'s wake armed under `epoch`
+    /// with `serial`, given the resource's `current_epoch`. Resolves the
+    /// sentinel bookkeeping (which may push the deferred wake under its
+    /// reserved sequence number) and returns whether the wake is live:
+    /// `false` means a newer wake exists and the handler must do nothing.
+    pub fn deliver<E>(
+        &mut self,
+        sched: &mut Scheduler<E>,
+        i: usize,
+        epoch: u64,
+        serial: u64,
+        current_epoch: u64,
+        make_event: impl Fn(usize, u64, u64) -> E,
+    ) -> bool {
+        // Bookkeeping first, under the pre-processing epoch: the instant
+        // at which the naive driver would still have held both entries.
+        if let Some(e) = self.coal[i].on_delivery(serial, current_epoch) {
+            let Some(seq) = e.seq else {
+                unreachable!("materialized wakes always carry a reserved seq")
+            };
+            sched.schedule_at_seq(e.at, seq, make_event(i, e.epoch, e.serial));
+        }
+        epoch == current_epoch
     }
 }
 

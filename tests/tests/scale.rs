@@ -9,7 +9,7 @@
 //! the seed being the only source of schedule variation.
 
 use simkit::Time;
-use smartds::{cluster, AdmissionSpec, Design, LoadSpec, RunConfig, Topology};
+use smartds::{cluster, AdmissionSpec, Design, LoadSpec, RunConfig, TopoLink, Topology};
 
 /// A short open-loop rack run: 3 racks × 3 servers, shrunk tenant
 /// population (the experiment's 10⁶-tenant Zipf setup is overkill for a
@@ -116,4 +116,27 @@ fn seed_is_the_only_source_of_variation() {
         fingerprint(&b, 1),
         "distinct seeds must draw distinct schedules"
     );
+}
+
+/// The hub's rack links share one wake index space with its fabric, sized
+/// when the cluster is built, so the rack count has no small cap: a
+/// SmartDS-6 closed loop over 40 single-server racks, with the last
+/// rack's downlink degraded mid-run, completes work and is byte-identical
+/// at 1 and 4 worker threads.
+#[test]
+fn forty_rack_fabric_with_a_degraded_last_downlink_is_thread_invariant() {
+    let racks = 40;
+    let mut cfg = RunConfig::saturating(Design::SmartDs { ports: 6 });
+    cfg.warmup = Time::from_ms(0.5);
+    cfg.measure = Time::from_ms(1.5);
+    cfg.outstanding = 192;
+    cfg.pool_blocks = 64;
+    let cfg = cfg.with_topology(Topology::new(racks, 1)).with_topo_fault(
+        Time::from_ms(1.0),
+        TopoLink::RackDown(racks as u16 - 1),
+        0.05,
+    );
+    let (report, _, _) = cluster::run_counted_stats(&cfg, |_| {}, Some(1));
+    assert!(report.writes_done > 1_000, "{} writes", report.writes_done);
+    assert_eq!(fingerprint(&cfg, 1), fingerprint(&cfg, 4));
 }
