@@ -173,33 +173,6 @@ impl StorageServer {
         )
     }
 
-    /// [`append`](Self::append) wrapped in a tracekit span: an `Append`
-    /// instant on the request's trace annotated with the payload size and
-    /// the replica outcome (`server-dead` when down, `compaction-due` when
-    /// the chunk crossed its garbage threshold).
-    #[allow(clippy::too_many_arguments)]
-    pub fn append_traced(
-        &mut self,
-        key: ChunkKey,
-        block: u64,
-        payload: StoredBlock,
-        tracer: &mut tracekit::Tracer,
-        trace: tracekit::TraceId,
-        parent: tracekit::SpanId,
-        now: Time,
-    ) -> Option<bool> {
-        let bytes = payload.data.len() as u64;
-        let sid = tracer.span_open(trace, parent, tracekit::StageKind::Append, "replica-append", bytes, now);
-        let out = self.append(key, block, payload);
-        match out {
-            None => tracer.span_note(sid, "server-dead"),
-            Some(true) => tracer.span_note(sid, "compaction-due"),
-            Some(false) => {}
-        }
-        tracer.span_close(sid, now);
-        out
-    }
-
     /// Reads the live version of a block, if present and the server is up.
     pub fn fetch(&self, key: ChunkKey, block: u64) -> Option<&StoredBlock> {
         if !self.alive {

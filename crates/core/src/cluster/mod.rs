@@ -95,8 +95,6 @@ pub enum Ev {
     /// Open-loop tenant arrival from the seeded load generator
     /// `(tenant rank, traffic class)`.
     TenantArrival(u64, u8),
-    /// Periodic snapshot maintenance tick.
-    SnapshotTick,
     /// Periodic throughput sample (transient visualisation).
     SampleTick,
     /// Warm-up boundary: reset collectors.
@@ -468,8 +466,8 @@ impl World for Cluster {
             }
             Ev::StoreArrive(_) | Ev::StoreDiskDone(_) | Ev::GlobalScrub(_) | Ev::GlobalSnapshot => {
                 // Store-side events run on the store shards; barrier
-                // operations run in `ClusterShard::handle_global` between
-                // windows. Neither reaches the hub.
+                // operations run in `ClusterShard::handle_global` at their
+                // scheduled instants. Neither reaches the hub.
             }
             Ev::Delay(tok) => {
                 self.pending.push(tok);
@@ -492,14 +490,6 @@ impl World for Cluster {
             }
             Ev::Retry(ticket) => {
                 self.retry(ticket, sched);
-            }
-            Ev::SnapshotTick => {
-                // The chunk stores live in other shards: snapshot at the
-                // window barrier where all of them are in scope.
-                sched.defer_global(Ev::GlobalSnapshot);
-                if let Some(period) = self.cfg.snapshot_period {
-                    sched.schedule_in(period, Ev::SnapshotTick);
-                }
             }
             Ev::SampleTick => {
                 let done = self.metrics.write_latency.count();
@@ -587,44 +577,63 @@ mod tests {
     fn star_lookahead_executes_the_flat_schedule_in_fewer_rounds() {
         // The star matrix is a pure synchronization optimization: every
         // simulated outcome must be bit-identical to the flat window's;
-        // only the round count may (and must) drop.
+        // only the round count may (and must) drop. That includes the
+        // barrier operations: snapshots (time, chunk and content) and the
+        // restart scrub's repairs.
         //
         // `RunEnd` stops the run after the window it lands in, and how far
         // the other shards got in that window depends on the window layout,
         // so event totals of a stopped run include a layout-dependent tail.
         // The comparison therefore runs drained, executing the whole
         // schedule.
-        let mut cfg = quick(Design::SmartDs { ports: 2 });
-        cfg.outstanding = 128;
-        let (flat_metrics, flat) = run_drained(&cfg, 2, false);
-        for threads in [1usize, 4] {
-            let (metrics, star) = run_drained(&cfg, threads, true);
-            assert_eq!(
-                metrics, flat_metrics,
-                "the star changed the drained metrics"
-            );
-            assert_eq!(star.events, flat.events);
-            assert_eq!(star.messages, flat.messages);
-            assert!(
-                star.rounds < flat.rounds,
-                "the star should cut rounds: {} vs flat {}",
-                star.rounds,
-                flat.rounds
-            );
+        let mut fair = quick(Design::SmartDs { ports: 2 });
+        fair.outstanding = 128;
+        let maintained = fair
+            .clone()
+            .with_snapshots(Time::from_ms(1.0))
+            .with_fault(Time::from_ms(2.5), 1, false)
+            .with_fault(Time::from_ms(4.5), 1, true);
+        for cfg in [fair, maintained] {
+            let (flat_cluster, flat) = run_drained(&cfg, 2, false);
+            let flat_state = drained_state(&flat_cluster);
+            if cfg.snapshot_period.is_some() {
+                assert!(flat_cluster.snapshots.len() >= 7);
+                assert!(flat_cluster.metrics.scrub_repairs > 0);
+            }
+            for threads in [1usize, 4] {
+                let (cluster, star) = run_drained(&cfg, threads, true);
+                assert!(
+                    drained_state(&cluster) == flat_state,
+                    "the star changed the drained metrics or snapshots"
+                );
+                assert_eq!(star.events, flat.events);
+                assert_eq!(star.messages, flat.messages);
+                assert!(
+                    star.rounds < flat.rounds,
+                    "the star should cut rounds: {} vs flat {}",
+                    star.rounds,
+                    flat.rounds
+                );
+            }
         }
     }
 
     /// Runs `cfg` through the production setup ([`build_sim`]) with no
     /// `RunEnd` stop: issue ends at the end of the measurement window and
     /// the run goes on until every request drains. `star` selects the
-    /// hub-and-spoke pair matrix over the flat window. Returns the metrics
-    /// (as `Debug` text) and the engine accounting.
-    fn run_drained(cfg: &RunConfig, threads: usize, star: bool) -> (String, EngineStats) {
+    /// hub-and-spoke pair matrix over the flat window. Returns the final
+    /// cluster and the engine accounting.
+    fn run_drained(cfg: &RunConfig, threads: usize, star: bool) -> (Cluster, EngineStats) {
         let mut sim = build_sim(cfg, |_| {}, Some(threads), star);
         sim.run();
         let stats = sim.stats();
-        let cluster = Cluster::absorb_shards(sim.into_worlds());
-        (format!("{:?}", cluster.metrics), stats)
+        (Cluster::absorb_shards(sim.into_worlds()), stats)
+    }
+
+    /// The simulated outcome of a drained run as `Debug` text: the metrics
+    /// (scrub repairs included) and every snapshot.
+    fn drained_state(cluster: &Cluster) -> String {
+        format!("{:?}\n{:?}", cluster.metrics, cluster.snapshots)
     }
 
     #[test]

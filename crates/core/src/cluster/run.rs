@@ -50,9 +50,6 @@ impl Cluster {
             FaultKind::ServerRestart { server } => {
                 if (server as usize) < self.num_servers {
                     self.selector.set_healthy(ServerId(server), true);
-                    // Scrub needs every shard's chunk store: defer to the
-                    // window barrier, where all shards are in scope.
-                    sched.defer_global(Ev::GlobalScrub(server));
                 }
             }
             FaultKind::ServerSlow { .. } | FaultKind::ServerNormal { .. } => {}
@@ -68,19 +65,6 @@ impl Cluster {
             }
         }
     }
-}
-
-/// Whether a run can defer a barrier operation: the snapshot service
-/// ([`Ev::GlobalSnapshot`], every `snapshot_period`) or a post-restart
-/// scrub ([`Ev::GlobalScrub`], on a planned `ServerRestart`). These need
-/// every shard paused at one horizon, so such runs keep the flat window.
-fn defers_barrier_ops(cfg: &RunConfig) -> bool {
-    cfg.snapshot_period.is_some()
-        || cfg
-            .fault_plan
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::ServerRestart { .. }))
 }
 
 /// The server index a fault targets, when it targets one.
@@ -125,7 +109,7 @@ pub fn run_counted_stats(
     threads: Option<usize>,
 ) -> (RunReport, Cluster, EngineStats) {
     let end = cfg.warmup + cfg.measure;
-    let mut sim = build_sim(cfg, setup, threads, !defers_barrier_ops(cfg));
+    let mut sim = build_sim(cfg, setup, threads, true);
     sim.schedule_at(0, end, Ev::RunEnd);
     sim.run();
     let end_time = sim.now(0).max(end);
@@ -146,9 +130,11 @@ pub fn run_counted_stats(
 
 /// Builds the sharded simulation of `cfg`: the cluster (adjusted by
 /// `setup`), split into its shards on `threads` workers, and every initial
-/// event up to the warm-up boundary — the fault plan, the periodic ticks
-/// and the load driver's first issues. `star` selects the hub-and-spoke
-/// pair matrix over the flat window. The caller schedules the run's end.
+/// event up to the warm-up boundary — the fault plan, the barrier
+/// operations, the periodic ticks and the load driver's first issues.
+/// `star` selects the hub-and-spoke pair matrix; the flat window it
+/// replaces survives as the test oracle. The caller schedules the run's
+/// end.
 pub(super) fn build_sim(
     cfg: &RunConfig,
     setup: impl FnOnce(&mut Cluster),
@@ -162,6 +148,12 @@ pub(super) fn build_sim(
         m.start(&mut cluster.fabric.mem, Time::ZERO);
     }
     let num_servers = cluster.num_servers;
+    // Messages only flow hub <-> store (stores never talk directly), so
+    // the direct-latency matrix is a star: each store's own wire hop to or
+    // from shard 0, unreachable otherwise. The transitive closure then
+    // gives store -> store (and every round trip) two hops, letting store
+    // shards run up to a full extra wire beyond the flat window.
+    let direct = star.then(|| star_lookahead(&cluster));
     // The first tenant arrival is drawn before the hub moves into its
     // shard, so the schedule is identical at every thread count.
     let first_arrival = cluster.loadgen.as_mut().map(|lg| lg.next_arrival());
@@ -169,15 +161,8 @@ pub(super) fn build_sim(
     // (the flat wire constant without one).
     let lookahead = cfg.lookahead();
     let mut sim = ShardedSim::new(cluster.split_for_shards(), lookahead);
-    if star {
-        // Messages only flow hub <-> store (stores never talk directly),
-        // so the direct-latency matrix is a star: one wire hop to or from
-        // shard 0, unreachable otherwise. The transitive closure then
-        // gives store -> store (and every round trip) two hops, letting
-        // store shards run up to a full extra wire beyond the flat
-        // window. Barrier operations need a common horizon, so runs that
-        // can defer one keep the flat window.
-        sim = sim.with_pair_lookahead(star_lookahead(num_servers, lookahead));
+    if let Some(direct) = direct {
+        sim = sim.with_pair_lookahead(direct);
     }
     if let Some(t) = threads {
         sim = sim.with_threads(t);
@@ -187,14 +172,24 @@ pub(super) fn build_sim(
     // the server/disk effect. Both sides see it deterministically.
     let store_shard =
         |server: u32| ((server as usize) < num_servers).then(|| 1 + server as usize);
+    // Barrier operations need every shard's chunk store, so they run at
+    // fixed instants with all shards in scope: a restarted server is
+    // scrubbed at its restart, and the snapshot service ticks every
+    // `snapshot_period` up to the end of the run.
     for e in cfg.fault_plan.events() {
         sim.schedule_at(0, e.at, Ev::Fault(e.kind));
         if let Some(s) = fault_server(&e.kind).and_then(store_shard) {
             sim.schedule_at(s, e.at, Ev::Fault(e.kind));
+            if let FaultKind::ServerRestart { server } = e.kind {
+                sim.schedule_global(e.at, Ev::GlobalScrub(server));
+            }
         }
     }
-    if let Some(period) = cfg.snapshot_period {
-        sim.schedule_at(0, period, Ev::SnapshotTick);
+    if let Some(period) = cfg.snapshot_period.filter(|p| *p > Time::ZERO) {
+        let end = cfg.warmup + cfg.measure;
+        for k in 1..=end.as_ps() / period.as_ps() {
+            sim.schedule_global(period * k, Ev::GlobalSnapshot);
+        }
     }
     if let Some(period) = cfg.sample_period {
         sim.schedule_at(0, period, Ev::SampleTick);
@@ -223,15 +218,17 @@ pub(super) fn build_sim(
     sim
 }
 
-/// The direct-latency matrix of the hub-and-spoke shard layout: one wire
-/// hop between the hub (shard 0) and each of `servers` store shards,
-/// unreachable between stores.
-fn star_lookahead(servers: usize, lookahead: Time) -> Vec<Vec<Time>> {
-    let n = 1 + servers;
+/// The direct-latency matrix of the hub-and-spoke shard layout: store
+/// shard `1 + i` and the hub (shard 0) exchange messages after exactly
+/// server `i`'s RPC path latency, both ways; stores never message each
+/// other.
+fn star_lookahead(cluster: &Cluster) -> Vec<Vec<Time>> {
+    let n = 1 + cluster.num_servers;
     let mut direct = vec![vec![Time::MAX; n]; n];
-    direct[0][1..].fill(lookahead);
-    for row in &mut direct[1..] {
-        row[0] = lookahead;
+    for server in 0..cluster.num_servers {
+        let wire = cluster.rpc_latency(server as u32);
+        direct[0][1 + server] = wire;
+        direct[1 + server][0] = wire;
     }
     direct
 }

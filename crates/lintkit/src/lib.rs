@@ -203,7 +203,7 @@ pub fn raw_scan(root: &Path) -> io::Result<(Vec<Diagnostic>, usize)> {
     let mut diags = Vec::new();
     // Shard-domain config for cross-shard-access: the checked-in file
     // when present (a malformed one is a violation, not a crash), the
-    // identical builtin otherwise.
+    // compiled-in copy otherwise.
     let cfg_rel = "crates/lintkit/shard_owned.txt";
     let shard_cfg = match fs::read_to_string(root.join(cfg_rel)) {
         Ok(text) => match ShardConfig::parse(&text) {
@@ -215,7 +215,9 @@ pub fn raw_scan(root: &Path) -> io::Result<(Vec<Diagnostic>, usize)> {
                     rule: "cross-shard-access",
                     msg: format!("malformed owned-symbol config: {msg}"),
                 });
-                ShardConfig::builtin()
+                // The compiled-in copy may be the same malformed file;
+                // the diagnostic above already fails the scan.
+                ShardConfig::default()
             }
         },
         Err(e) if e.kind() == io::ErrorKind::NotFound => ShardConfig::builtin(),

@@ -83,7 +83,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "cross-shard-access",
         summary: "core code may not call shard-owned storage methods except from audited \
                   store-side/barrier functions (configured in crates/lintkit/shard_owned.txt); \
-                  cross-shard effects must travel as Scheduler::send messages or barrier globals",
+                  cross-shard effects must travel as Scheduler::send messages or barrier operations",
     },
     RuleInfo {
         name: "float-fold-order",
@@ -502,7 +502,7 @@ pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec
                 t.line,
                 format!(
                     ".{}() touches `{}`-domain shard-owned state from `{}`; the hub must \
-                     reach it via Scheduler::send messages or Scheduler::defer_global \
+                     reach it via Scheduler::send messages or ShardedSim::schedule_global \
                      barrier operations (exemptions: crates/lintkit/shard_owned.txt)",
                     t.text,
                     domain.name,

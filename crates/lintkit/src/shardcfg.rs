@@ -4,18 +4,17 @@
 //! a storage server's chunk store, disk model, and in-flight RPC table —
 //! may only be touched by code running on that shard; the hub reaches it
 //! exclusively through `Step::Store`-style messages (`Scheduler::send`)
-//! or barrier globals (`Scheduler::defer_global`). simlint enforces the
-//! static shadow of that rule: inside the files of a *shard domain*, a
-//! call to an *owned method* is only legal from an exempt function (the
-//! audited barrier operations and post-run audit) or from an `impl`
-//! block of an exempt type (the shard world itself).
+//! or barrier operations (`ShardedSim::schedule_global`). simlint
+//! enforces the static shadow of that rule: inside the files of a *shard
+//! domain*, a call to an *owned method* is only legal from an exempt
+//! function (the audited barrier operations and post-run audit) or from
+//! an `impl` block of an exempt type (the shard world itself).
 //!
 //! Domains are configured in `crates/lintkit/shard_owned.txt`, a small
 //! line-oriented format (one `[domain]` section per shard domain with
 //! `files` / `owned` / `exempt-fn` / `exempt-impl` keys); when the file
 //! is absent — fixture tests, single-file lints — [`ShardConfig::builtin`]
-//! supplies the same contents, so the checked-in file and the builtin
-//! must agree (a unit test pins this).
+//! supplies the copy compiled into lintkit.
 
 /// One shard domain: which files it governs, which method names are
 /// owned by the shard, and which functions/impls may legally touch them.
@@ -42,73 +41,15 @@ pub struct ShardConfig {
     pub domains: Vec<ShardDomain>,
 }
 
-/// The hub's source files (`crates/core/src/cluster/`): both shard
-/// domains govern every one of them.
-const HUB_FILES: [&str; 5] = [
-    "crates/core/src/cluster/mod.rs",
-    "crates/core/src/cluster/request.rs",
-    "crates/core/src/cluster/run.rs",
-    "crates/core/src/cluster/store.rs",
-    "crates/core/src/cluster/transfer.rs",
-];
-
 impl ShardConfig {
-    /// The built-in default, mirroring `crates/lintkit/shard_owned.txt`.
+    /// `crates/lintkit/shard_owned.txt` as compiled into lintkit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the compiled-in file does not parse.
     pub fn builtin() -> Self {
-        ShardConfig {
-            domains: vec![ShardDomain {
-                name: "store".to_string(),
-                files: HUB_FILES.iter().map(|s| s.to_string()).collect(),
-                owned: [
-                    "append",
-                    "chunk_mut",
-                    "chunks",
-                    "compact",
-                    "fetch",
-                    "scrub_with",
-                    "set_alive",
-                    "set_slow_factor",
-                    "snapshot",
-                ]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-                exempt_fns: [
-                    "scrub_global",
-                    "snapshot_global",
-                    "verify_stored",
-                ]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-                exempt_impls: vec!["StoreShard".to_string()],
-            },
-            ShardDomain {
-                name: "services".to_string(),
-                files: HUB_FILES.iter().map(|s| s.to_string()).collect(),
-                owned: [
-                    "cache_fill",
-                    "cache_probe",
-                    "prefetch_ack",
-                    "prefetch_targets",
-                    "record_write",
-                    "sealed_block",
-                ]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-                exempt_fns: [
-                    "complete_request",
-                    "spawn_attempt",
-                    "store_ack",
-                    "stored_block",
-                ]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-                exempt_impls: Vec::new(),
-            }],
-        }
+        Self::parse(include_str!("../shard_owned.txt"))
+            .expect("crates/lintkit/shard_owned.txt parses")
     }
 
     /// Parses the `shard_owned.txt` format. Lines starting with `#` are

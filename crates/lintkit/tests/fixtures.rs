@@ -438,19 +438,6 @@ fn workspace_is_clean_under_the_shard_safety_rules() {
     assert!(shard.is_empty(), "shard-safety violations crept in: {shard:?}");
 }
 
-#[test]
-fn checked_in_shard_config_matches_builtin() {
-    // shard_owned.txt is the editable source of truth; builtin() is the
-    // fallback when it is missing. Keep them identical so behaviour cannot
-    // silently fork between the two paths.
-    let root = lintkit::workspace_root_from(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root");
-    let text = std::fs::read_to_string(root.join("crates/lintkit/shard_owned.txt"))
-        .expect("read shard_owned.txt");
-    let parsed = lintkit::ShardConfig::parse(&text).expect("parse shard_owned.txt");
-    assert_eq!(parsed, lintkit::ShardConfig::builtin());
-}
-
 // ------------------------------------------------------------------ properties
 
 testkit::prop! {

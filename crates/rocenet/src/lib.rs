@@ -34,7 +34,6 @@ mod mem;
 mod message;
 mod qp;
 pub mod rc;
-pub mod trace;
 pub mod verbs;
 
 pub use aams::{

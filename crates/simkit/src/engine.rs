@@ -119,7 +119,7 @@ pub struct Scheduler<E> {
     stopped: bool,
     /// This shard's id and conservative lookahead, set by the sharded
     /// engine. `None` in plain sequential simulations, where [`Scheduler::send`]
-    /// and [`Scheduler::defer_global`] are misuse.
+    /// is misuse.
     remote: Option<(u32, Time)>,
     /// Cross-shard messages sent during the current window, one growable
     /// buffer per destination shard (index = destination id). The sharded
@@ -128,8 +128,6 @@ pub struct Scheduler<E> {
     outboxes: Vec<Vec<Outgoing<E>>>,
     /// Per-sender message sequence: the deterministic mailbox tie-break.
     msg_seq: u64,
-    /// Barrier operations deferred to the end of the current window.
-    globals: Vec<E>,
 }
 
 impl<E> Scheduler<E> {
@@ -142,7 +140,6 @@ impl<E> Scheduler<E> {
             remote: None,
             outboxes: Vec::new(),
             msg_seq: 0,
-            globals: Vec::new(),
         }
     }
 
@@ -217,24 +214,6 @@ impl<E> Scheduler<E> {
         });
     }
 
-    /// Defers `event` as a *barrier operation*: at the end of the current
-    /// synchronization window the sharded engine hands it to
-    /// `ShardWorld::handle_global` with mutable access to every shard, in
-    /// deterministic (shard id, defer order) order. For rare cross-shard
-    /// state operations (scrub, snapshot) that cannot be expressed as
-    /// messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics in a plain sequential [`Simulation`].
-    pub fn defer_global(&mut self, event: E) {
-        assert!(
-            self.remote.is_some(),
-            "Scheduler::defer_global outside the sharded engine"
-        );
-        self.globals.push(event);
-    }
-
     pub(crate) fn enable_remote(&mut self, shard: u32, lookahead: Time, shards: usize) {
         self.remote = Some((shard, lookahead));
         self.outboxes = (0..shards).map(|_| Vec::new()).collect();
@@ -262,10 +241,6 @@ impl<E> Scheduler<E> {
             debug_assert!(theirs.is_empty());
             std::mem::swap(mine, theirs);
         }
-    }
-
-    pub(crate) fn take_globals(&mut self) -> Vec<E> {
-        std::mem::take(&mut self.globals)
     }
 
     pub(crate) fn is_stopped(&self) -> bool {

@@ -5,7 +5,7 @@
 //! type system cannot see: during the parallel section of a window, a
 //! worker may touch only the state owned by the shard it is executing,
 //! and *barrier-time globals* (state shared across shards) may mutate
-//! only inside the single-threaded merge. A violation does not deadlock
+//! only in the single-threaded work between windows. A violation does not deadlock
 //! or crash — it silently makes the executed schedule depend on the
 //! thread interleaving, which the golden suites only catch after it
 //! corrupts an exercised seed.
@@ -21,10 +21,10 @@
 //! - **Parallel { shard, at, seq }** — this worker is executing the given
 //!   shard's events inside a window. [`ShardTag::check`] panics unless the
 //!   tag's owner is that shard; [`assert_barrier`] panics unconditionally.
-//! - **Barrier { at }** — the single-threaded merge (message delivery and
-//!   `handle_global`). Ownership checks pass (exactly one thread runs),
-//!   and [`assert_barrier`] documents+verifies that a global mutation
-//!   happens here and nowhere else.
+//! - **Barrier { at }** — the single-threaded work between windows
+//!   (message delivery and `handle_global`). Ownership checks pass
+//!   (exactly one thread runs), and [`assert_barrier`] documents+verifies
+//!   that a global mutation happens here and nowhere else.
 //!
 //! Panic messages carry the offending *shard pair*, the simulated event
 //! time, and the event's scheduler sequence number, so a report like
@@ -46,7 +46,8 @@ enum Mode {
     Inactive,
     /// Executing `shard`'s events in the parallel section of a window.
     Parallel { shard: u32, at_ps: u64, seq: u64 },
-    /// Inside the single-threaded merge at the window horizon.
+    /// In the single-threaded work between windows: the mailbox merge, or
+    /// a barrier operation at its instant.
     Barrier { at_ps: u64 },
 }
 
@@ -96,7 +97,7 @@ impl ShardTag {
                 shard == self.owner,
                 "shardsan: shard {shard} touched {what} owned by shard {owner} at \
                  t={at_ps}ps seq={seq}; cross-shard effects must travel as messages \
-                 (Scheduler::send) or barrier globals (Scheduler::defer_global). \
+                 (Scheduler::send) or barrier operations (ShardedSim::schedule_global). \
                  Replay: same seed, any SMARTDS_THREADS.",
                 owner = self.owner,
             );

@@ -30,11 +30,26 @@
 //!    in particular equals the windowless sequential merge (the reference
 //!    oracle in this module's tests executes exactly that merge).
 //! 3. **Window boundaries themselves** are a function of queue contents
-//!    only (the horizons below), so rounds, barrier operations, and
-//!    message counts are also thread-invariant.
+//!    only (the horizons below), so rounds and message counts are also
+//!    thread-invariant.
 //! 4. Threads only decide *which core* executes a shard's window; shards
 //!    share no state (barrier operations run single-threaded between
 //!    windows), so the final state is identical for any thread count.
+//!
+//! # Barrier operations
+//!
+//! A barrier operation ([`ShardedSim::schedule_global`]) is an event at a
+//! fixed simulated instant `g` that needs every shard in scope at once
+//! (a cluster-wide scrub or snapshot). While one is pending, every
+//! horizon is capped at `g + 1 ps`, so no shard executes anything later
+//! than `g`; the operation runs through [`ShardWorld::handle_global`] at
+//! the start of the first round in which no shard has an event at or
+//! before `g`. It therefore observes exactly "every event ≤ `g` done,
+//! nothing later" — the windowless merge's state at `g` — under any
+//! lookahead matrix and any thread count. Operations at one instant run
+//! in scheduling order. A [`Scheduler::stop`] at instant `t` ends the run
+//! after its window: every operation before `t` has run by then, and
+//! those at or after `t` never run.
 //!
 //! # Pair lookahead
 //!
@@ -49,12 +64,8 @@
 //! [`ShardedSim::with_pair_lookahead`] replaces it with a matrix of
 //! minimum direct message latencies, closed transitively (Floyd–Warshall
 //! over walks of ≥ 1 hop, so `D⁺(i, i)` is the minimum round-trip cycle).
-//! The merged schedule is *identical* either way; only the number of
-//! synchronization rounds drops. Barrier operations
-//! ([`Scheduler::defer_global`]) need every shard paused at one instant,
-//! so they run only in rounds whose horizons are all equal — always the
-//! case under the uniform matrix — and panic otherwise; drivers keep the
-//! uniform matrix for runs that can defer them.
+//! The merged schedule is *identical* either way — barrier operations
+//! included — and only the number of synchronization rounds drops.
 //!
 //! # Costs
 //!
@@ -80,6 +91,7 @@
 use crate::engine::{Outgoing, Scheduler, World};
 use crate::sanitizer;
 use crate::time::Time;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
@@ -87,13 +99,14 @@ use std::thread::Thread;
 /// A world that can run as one shard of a [`ShardedSim`].
 ///
 /// `handle` (from [`World`]) services this shard's own events and may call
-/// [`Scheduler::send`] / [`Scheduler::defer_global`]; `handle_global`
-/// services deferred barrier operations with every shard in scope.
+/// [`Scheduler::send`]; `handle_global` services the barrier operations
+/// scheduled with [`ShardedSim::schedule_global`], with every shard in
+/// scope.
 pub trait ShardWorld: World + Send {
-    /// Executes one barrier operation at the end of a window, with
-    /// exclusive access to all shards (`shards[i]` is shard `i`'s world).
-    /// Runs single-threaded at simulated time `at` (the window horizon);
-    /// operations execute in deterministic (shard id, defer order) order.
+    /// Executes one barrier operation with exclusive access to all shards
+    /// (`shards[i]` is shard `i`'s world). Runs single-threaded between
+    /// windows at its scheduled instant `at`, once every shard has executed
+    /// all of its events at or before `at` and none later.
     fn handle_global(shards: &mut [&mut Self], at: Time, ev: Self::Event)
     where
         Self: Sized,
@@ -144,6 +157,9 @@ pub struct ShardedSim<W: ShardWorld> {
     threads: usize,
     rounds: u64,
     messages: u64,
+    /// Pending barrier operations, ordered by `(instant, scheduling
+    /// order)`.
+    globals: VecDeque<(Time, W::Event)>,
     /// Per-(sender, receiver) mailbox buffers (`n × n`, sender-major),
     /// swapped against each scheduler's outboxes at every barrier so the
     /// merge reuses their capacity instead of allocating per round.
@@ -226,6 +242,7 @@ where
             threads: env_threads(),
             rounds: 0,
             messages: 0,
+            globals: VecDeque::new(),
             mail: (0..n * n).map(|_| Vec::new()).collect(),
             #[cfg(test)]
             epoch_log: Vec::new(),
@@ -251,9 +268,7 @@ where
     /// round's per-shard horizon accordingly. The executed schedule is
     /// identical to the flat window's; only `rounds` in [`EngineStats`]
     /// drops. A latency claim the model then undercuts is caught by the
-    /// merge-time lookahead assertion. Barrier operations need equal
-    /// horizons, so [`Scheduler::defer_global`] panics in any round
-    /// whose per-shard horizons differ.
+    /// merge-time lookahead assertion.
     ///
     /// # Panics
     ///
@@ -302,6 +317,24 @@ where
         get_mut(&mut self.cells[shard]).sched.schedule_at(at, event);
     }
 
+    /// Schedules barrier operation `event` at simulated instant `at`: it
+    /// runs through [`ShardWorld::handle_global`] with every shard in
+    /// scope once every shard has executed all of its events at or before
+    /// `at`, and none later (see the module docs). Operations at one
+    /// instant run in scheduling order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before any shard's current time.
+    pub fn schedule_global(&mut self, at: Time, event: W::Event) {
+        for cell in &mut self.cells {
+            let now = get_mut(cell).sched.now();
+            assert!(at >= now, "barrier operation at {at:?} before now {now:?}");
+        }
+        let i = self.globals.partition_point(|(g, _)| *g <= at);
+        self.globals.insert(i, (at, event));
+    }
+
     /// Shard `shard`'s current simulated time.
     pub fn now(&mut self, shard: usize) -> Time {
         get_mut(&mut self.cells[shard]).sched.now()
@@ -324,8 +357,9 @@ where
         }
     }
 
-    /// Runs to completion: until every queue drains past its horizon or a
-    /// shard calls [`Scheduler::stop`] (the run ends after that window).
+    /// Runs to completion: until every queue drains (every pending barrier
+    /// operation then runs) or a shard calls [`Scheduler::stop`] (the run
+    /// ends after that window).
     pub fn run(&mut self) {
         let n = self.cells.len();
         let threads = self.threads.min(n).max(1);
@@ -347,7 +381,8 @@ where
         let mut next: Vec<Option<Time>> = vec![None; n];
         let mut horizons: Vec<Time> = vec![Time::ZERO; n];
         loop {
-            if !compute_horizons(&self.cells, &self.matrix, &mut next, &mut horizons) {
+            let (cells, globals) = (&self.cells, &mut self.globals);
+            if !begin_round(cells, &self.matrix, globals, &mut next, &mut horizons) {
                 break;
             }
             self.rounds += 1;
@@ -393,6 +428,7 @@ where
         let horizon_ps: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let cells = &self.cells;
         let matrix = &self.matrix;
+        let globals = &mut self.globals;
         let mut mail = std::mem::take(&mut self.mail);
         let mut rounds = 0u64;
         let mut messages = 0u64;
@@ -430,7 +466,7 @@ where
                 })
                 .collect();
             loop {
-                if !compute_horizons(cells, matrix, &mut next, &mut horizons) {
+                if !begin_round(cells, matrix, globals, &mut next, &mut horizons) {
                     break;
                 }
                 rounds += 1;
@@ -611,16 +647,20 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
-/// Computes this round's per-shard horizons from every shard's next-event
-/// time. Returns `false` when all queues are empty (the run is complete).
+/// Starts a round: reads every shard's next-event time, runs the barrier
+/// operations now due, and computes the per-shard horizons. Returns
+/// `false` when all queues are empty — the run is complete, and every
+/// pending barrier operation has run.
 ///
 /// `h_i = min_j(N_j + D⁺(j, i))` — each shard runs to the earliest instant
 /// any shard's pending work could causally reach it, including its own
 /// sends reflected back (`j = i` with the min round-trip cycle). Under the
-/// uniform flat matrix every horizon is `min_j(N_j) + L`.
-fn compute_horizons<W: ShardWorld>(
+/// uniform flat matrix every horizon is `min_j(N_j) + L`. A pending
+/// barrier operation at `g` caps every horizon at `g + 1 ps`.
+fn begin_round<W: ShardWorld>(
     cells: &[Mutex<Cell<W>>],
     dist: &[Time],
+    globals: &mut VecDeque<(Time, W::Event)>,
     next: &mut [Option<Time>],
     horizons: &mut [Time],
 ) -> bool {
@@ -628,11 +668,16 @@ fn compute_horizons<W: ShardWorld>(
     for (slot, cell) in next.iter_mut().zip(cells) {
         *slot = lock(cell).sched.next_time();
     }
-    if next.iter().all(Option::is_none) {
+    let first = next.iter().flatten().min().copied();
+    run_due_globals(cells, globals, first);
+    if first.is_none() {
         return false;
     }
+    let cap = globals
+        .front()
+        .map_or(Time::MAX, |(g, _)| g.saturating_add(Time::from_ps(1)));
     for (i, h) in horizons.iter_mut().enumerate() {
-        let mut bound = Time::MAX;
+        let mut bound = cap;
         for (j, nj) in next.iter().enumerate() {
             if let Some(nj) = nj {
                 bound = bound.min(nj.saturating_add(dist[j * n + i]));
@@ -643,14 +688,35 @@ fn compute_horizons<W: ShardWorld>(
     true
 }
 
+/// Runs, in order, every pending barrier operation before `first` (the
+/// earliest pending event; `None` when every queue is empty). Horizons
+/// never pass a pending operation, so each one sees every event at or
+/// before its instant done and nothing later. Single-threaded: the
+/// workers are parked at the gate between rounds.
+fn run_due_globals<W: ShardWorld>(
+    cells: &[Mutex<Cell<W>>],
+    globals: &mut VecDeque<(Time, W::Event)>,
+    first: Option<Time>,
+) {
+    let due = |g: Time| first.is_none_or(|t| g < t);
+    if !globals.front().is_some_and(|&(g, _)| due(g)) {
+        return;
+    }
+    let mut guards: Vec<MutexGuard<'_, Cell<W>>> = cells.iter().map(lock).collect();
+    let mut worlds: Vec<&mut W> = guards.iter_mut().map(|g| &mut g.world).collect();
+    while let Some((at, event)) = globals.pop_front_if(|(g, _)| due(*g)) {
+        sanitizer::enter_barrier(at);
+        W::handle_global(&mut worlds, at, event);
+        sanitizer::exit_barrier();
+    }
+}
+
 /// Post-window barrier work: merge the per-(sender, receiver) mailbox
-/// buffers into destination queues, run deferred barrier operations, and
-/// report whether any shard requested a stop. Barrier operations need a
-/// common horizon: a round that defers one must have every horizon equal
-/// (always true under the uniform flat matrix). Single-threaded; fully
-/// deterministic (sender-major swap order, receiver-major drain order —
-/// and delivery order cannot matter anyway, because the queue orders by
-/// the `(time, class, src, seq)` key stamped at send time).
+/// buffers into destination queues and report whether any shard requested
+/// a stop. Single-threaded; fully deterministic (sender-major swap order,
+/// receiver-major drain order — and delivery order cannot matter anyway,
+/// because the queue orders by the `(time, class, src, seq)` key stamped
+/// at send time).
 fn merge_windows<W: ShardWorld>(
     cells: &[Mutex<Cell<W>>],
     horizons: &[Time],
@@ -658,18 +724,14 @@ fn merge_windows<W: ShardWorld>(
     messages: &mut u64,
 ) -> bool {
     // Only the coordinator runs here, after the post-window barrier:
-    // Barrier mode lets ownership checks pass while `assert_barrier`
-    // call sites in `handle_global` paths verify they really are at a
-    // window boundary.
+    // Barrier mode lets ownership checks pass.
     let barrier_at = horizons.iter().copied().min().unwrap_or(Time::ZERO);
     sanitizer::enter_barrier(barrier_at);
     let n = cells.len();
     let mut stop = false;
-    let mut globals: Vec<W::Event> = Vec::new();
     for (src, cell) in cells.iter().enumerate() {
         let mut c = lock(cell);
         c.sched.swap_outboxes(&mut mail[src * n..(src + 1) * n]);
-        globals.append(&mut c.sched.take_globals());
         stop |= c.sched.is_stopped();
     }
     for (dst, cell) in cells.iter().enumerate() {
@@ -689,19 +751,6 @@ fn merge_windows<W: ShardWorld>(
                 );
                 c.sched.deliver(m.at, src as u32, m.seq, m.event);
             }
-        }
-    }
-    if !globals.is_empty() {
-        assert!(
-            horizons.iter().all(|&h| h == barrier_at),
-            "Scheduler::defer_global in a round with unequal per-shard \
-             horizons: barrier operations need a common horizon; keep the \
-             flat lookahead window for runs that defer them"
-        );
-        let mut guards: Vec<MutexGuard<'_, Cell<W>>> = cells.iter().map(lock).collect();
-        let mut worlds: Vec<&mut W> = guards.iter_mut().map(|g| &mut g.world).collect();
-        for ev in globals {
-            W::handle_global(&mut worlds, barrier_at, ev);
         }
     }
     sanitizer::exit_barrier();
@@ -728,6 +777,10 @@ mod tests {
         Ack { id: u64 },
         /// Local no-op, for tie-break stress.
         Tick(u64),
+        /// Barrier operation `k`: records what every shard has executed
+        /// and halves every backlog (so its instant shapes later service
+        /// times).
+        Global(u64),
     }
 
     const LOOKAHEAD: Time = Time::from_ps(1_000);
@@ -740,6 +793,9 @@ mod tests {
         completions: BTreeMap<u64, u64>,
         /// Store only: in-service backlog → deterministic extra delay.
         backlog: u64,
+        /// Hub only: per barrier operation, `(instant ps, k, every shard's
+        /// executed-event count)`.
+        observed: Vec<(u64, u64, Vec<usize>)>,
     }
 
     fn disc(ev: &TEv) -> (u8, u64) {
@@ -749,6 +805,7 @@ mod tests {
             TEv::Done { id } => (2, *id),
             TEv::Ack { id } => (3, *id),
             TEv::Tick(id) => (4, *id),
+            TEv::Global(k) => (5, *k),
         }
     }
 
@@ -778,22 +835,44 @@ mod tests {
                 TEv::Ack { id } => {
                     self.completions.insert(id, sched.now().as_ps());
                 }
-                TEv::Tick(_) => {}
+                TEv::Tick(_) | TEv::Global(_) => {}
             }
         }
     }
 
-    impl ShardWorld for Node {}
+    impl ShardWorld for Node {
+        fn handle_global(shards: &mut [&mut Self], at: Time, ev: TEv) {
+            let TEv::Global(k) = ev else { return };
+            let seen = shards.iter().map(|s| s.log.len()).collect();
+            for s in shards.iter_mut() {
+                s.backlog /= 2;
+            }
+            shards[0].observed.push((at.as_ps(), k, seen));
+        }
+    }
 
-    /// A seeded op script: `(shard, at ps, event)` pre-run schedule.
+    /// A seeded op script: `(shard, at ps, event)` pre-run schedule. A
+    /// [`TEv::Global`] entry is a barrier operation (its shard is unused).
     type Script = Vec<(usize, u64, TEv)>;
+
+    /// Loads `script` into `sim`.
+    fn schedule_script(sim: &mut ShardedSim<Node>, script: &Script) {
+        for (shard, at, ev) in script {
+            let at = Time::from_ps(*at);
+            match ev {
+                TEv::Global(_) => sim.schedule_global(at, ev.clone()),
+                _ => sim.schedule_at(*shard, at, ev.clone()),
+            }
+        }
+    }
 
     /// The single-shard reference engine: a windowless sequential merge.
     /// Repeatedly executes the globally minimal event (per-shard heaps
     /// compare by the same `(time, class, src, seq)` key; cross-shard ties
     /// cannot interact, broken by shard id) and delivers any messages it
-    /// sent immediately. No lookahead, no windows — the oracle the
-    /// windowed engine must match exactly.
+    /// sent immediately. A barrier operation runs as soon as no shard has
+    /// an event at or before its instant. No lookahead, no windows — the
+    /// oracle the windowed engine must match exactly.
     fn run_reference(stores: usize, script: &Script) -> (Vec<Node>, Vec<u64>) {
         let n = stores + 1;
         let mut cells: Vec<(Node, Scheduler<TEv>, u64)> = build_worlds(stores)
@@ -806,9 +885,16 @@ mod tests {
             })
             .collect();
         let mut bufs: Vec<Vec<Outgoing<TEv>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut globals: Vec<(u64, TEv)> = Vec::new();
         for (shard, at, ev) in script {
-            cells[*shard].1.schedule_at(Time::from_ps(*at), ev.clone());
+            match ev {
+                TEv::Global(_) => globals.push((*at, ev.clone())),
+                _ => cells[*shard].1.schedule_at(Time::from_ps(*at), ev.clone()),
+            }
         }
+        // Stable: same-instant operations keep their scheduling order.
+        globals.sort_by_key(|g| g.0);
+        let mut globals = globals.into_iter().peekable();
         loop {
             // Peek every shard's head key by popping and re-delivering is
             // invasive; instead compare next_time and, on ties, pop the
@@ -818,6 +904,12 @@ mod tests {
                 .enumerate()
                 .filter_map(|(i, c)| c.1.next_time().map(|t| (t, i)))
                 .min();
+            while let Some((at, ev)) =
+                globals.next_if(|(g, _)| next.is_none_or(|(t, _)| *g < t.as_ps()))
+            {
+                let mut worlds: Vec<&mut Node> = cells.iter_mut().map(|c| &mut c.0).collect();
+                Node::handle_global(&mut worlds, Time::from_ps(at), ev);
+            }
             let Some((_, shard)) = next else { break };
             // Cross-shard same-time ties: shards only interact through
             // messages ≥ lookahead away, so any execution order of a
@@ -867,6 +959,11 @@ mod tests {
         for k in 0..10u64 {
             script.push((1, 1_010 + k * 700, TEv::Tick(100 + k)));
         }
+        // Barrier operations: two on the instant of a hub tick and an
+        // issue burst, one past the last event.
+        for (k, at) in [2_810u64, 2_810, 99_000].into_iter().enumerate() {
+            script.push((0, at, TEv::Global(k as u64)));
+        }
         script
     }
 
@@ -889,9 +986,7 @@ mod tests {
         if let Some(m) = matrix {
             sim = sim.with_pair_lookahead(m);
         }
-        for (shard, at, ev) in script {
-            sim.schedule_at(*shard, Time::from_ps(*at), ev.clone());
-        }
+        schedule_script(&mut sim, script);
         sim.run();
         let stats = sim.stats();
         let counts: Vec<u64> = (0..stores + 1)
@@ -924,6 +1019,10 @@ mod tests {
                 assert_eq!(
                     w.completions, r.completions,
                     "threads={threads}: shard {i} completion times drifted"
+                );
+                assert_eq!(
+                    w.observed, r.observed,
+                    "threads={threads}: shard {i} barrier observations drifted"
                 );
             }
             match &first {
@@ -975,6 +1074,7 @@ mod tests {
                 (testkit::gen::u64s(0..80), testkit::gen::u64s(0..7)),
                 0..=30,
             ),
+            globals in testkit::gen::vecs(testkit::gen::u64s(0..100), 0..=6),
         ) {
             let stores = stores as usize;
             let slot = LOOKAHEAD.as_ps() / 4;
@@ -994,7 +1094,14 @@ mod tests {
                 let shard = (*shard as usize) % (stores + 1);
                 script.push((shard, at_slot * slot, TEv::Tick(1_000 + k as u64)));
             }
+            // Barrier operations land on the same quarter-lookahead grid,
+            // so they tie with ticks, issues and deliveries.
+            for (k, at_slot) in globals.iter().enumerate() {
+                script.push((0, at_slot * slot, TEv::Global(k as u64)));
+            }
+            // Barrier timing must not depend on the window layout.
             assert_matches_oracle(stores, &script, false);
+            assert_matches_oracle(stores, &script, true);
         }
     }
 
@@ -1063,9 +1170,7 @@ mod tests {
         let script = fixed_script(STORES);
         let run = |scoped: Option<usize>| {
             let mut sim = ShardedSim::new(build_worlds(STORES), LOOKAHEAD).with_threads(1);
-            for (shard, at, ev) in &script {
-                sim.schedule_at(*shard, Time::from_ps(*at), ev.clone());
-            }
+            schedule_script(&mut sim, &script);
             match scoped {
                 Some(threads) => sim.run_scoped(threads),
                 None => sim.run(), // threads = 1: takes the inline path
@@ -1092,6 +1197,7 @@ mod tests {
                     a.completions, b.completions,
                     "threads={threads}: shard {i} completions drifted"
                 );
+                assert_eq!(a.observed, b.observed, "threads={threads}: shard {i}");
             }
         }
     }
@@ -1107,9 +1213,7 @@ mod tests {
         let (base, stats1, _, epochs1) = run_sharded(STORES, &script, 1, None);
         for threads in [2, 3, 8] {
             let mut sim = ShardedSim::new(build_worlds(STORES), LOOKAHEAD).with_threads(threads);
-            for (shard, at, ev) in &script {
-                sim.schedule_at(*shard, Time::from_ps(*at), ev.clone());
-            }
+            schedule_script(&mut sim, &script);
             sim.run();
             let stats = sim.stats();
             assert_eq!(stats, stats1, "threads={threads}: stats drifted");
@@ -1237,27 +1341,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "common horizon")]
-    fn defer_global_under_pair_lookahead_panics() {
-        #[derive(Clone, Debug)]
-        struct G;
-        struct GWorld;
-        impl World for GWorld {
-            type Event = G;
-            fn handle(&mut self, _: G, sched: &mut Scheduler<G>) {
-                sched.defer_global(G);
-            }
-        }
-        impl ShardWorld for GWorld {}
-        let mut m = vec![vec![Time::MAX; 2]; 2];
-        m[0][1] = LOOKAHEAD;
-        m[1][0] = LOOKAHEAD;
-        let mut sim = ShardedSim::new(vec![GWorld, GWorld], LOOKAHEAD).with_pair_lookahead(m);
-        sim.schedule_at(0, Time::from_ps(5), G);
-        sim.run();
-    }
-
-    #[test]
     #[should_panic(expected = "below lookahead")]
     fn short_cross_shard_delay_panics() {
         #[derive(Clone, Debug)]
@@ -1318,48 +1401,109 @@ mod tests {
         assert!(sim.into_worlds()[0].seen.is_empty());
     }
 
+    /// A barrier-probe world: `Mark(k)` logs `k`; `Stop` ends the run; a
+    /// global logs, on every shard, its instant and what the shard has
+    /// executed so far.
+    #[derive(Clone, Debug)]
+    enum GEv {
+        Mark(u64),
+        Stop,
+        Global(u64),
+    }
+
+    #[derive(Default)]
+    struct GNode {
+        marks: Vec<u64>,
+        /// `(global k, instant ps, marks executed before it)`.
+        globals: Vec<(u64, u64, usize)>,
+    }
+
+    impl World for GNode {
+        type Event = GEv;
+        fn handle(&mut self, ev: GEv, sched: &mut Scheduler<GEv>) {
+            match ev {
+                GEv::Mark(k) => self.marks.push(k),
+                GEv::Stop => sched.stop(),
+                GEv::Global(_) => {}
+            }
+        }
+    }
+
+    impl ShardWorld for GNode {
+        fn handle_global(shards: &mut [&mut Self], at: Time, ev: GEv) {
+            if let GEv::Global(k) = ev {
+                for s in shards.iter_mut() {
+                    let seen = s.marks.len();
+                    s.globals.push((k, at.as_ps(), seen));
+                }
+            }
+        }
+    }
+
+    /// Two shards on the star, 2 threads: a global runs at its instant,
+    /// after every event at that instant and before the next one — even
+    /// though the star's horizons would otherwise run far past it — and
+    /// globals left after the last event still run, in scheduling order.
     #[test]
-    fn global_ops_run_at_the_horizon_with_all_shards() {
-        #[derive(Clone, Debug)]
-        enum GEv {
-            Defer,
-            Bump,
+    fn global_ops_run_at_their_instant_with_all_shards() {
+        let star = vec![vec![Time::MAX, LOOKAHEAD], vec![LOOKAHEAD, Time::MAX]];
+        let worlds = vec![GNode::default(), GNode::default()];
+        let mut sim = ShardedSim::new(worlds, LOOKAHEAD)
+            .with_pair_lookahead(star)
+            .with_threads(2);
+        for (shard, at, k) in [(0, 42, 1), (1, 42, 2), (0, 43, 3), (1, 5_000, 4)] {
+            sim.schedule_at(shard, Time::from_ps(at), GEv::Mark(k));
         }
-        #[derive(Default)]
-        struct GNode {
-            bumped: u64,
-            global_at: Vec<u64>,
-        }
-        impl World for GNode {
-            type Event = GEv;
-            fn handle(&mut self, ev: GEv, sched: &mut Scheduler<GEv>) {
-                match ev {
-                    GEv::Defer => sched.defer_global(GEv::Bump),
-                    GEv::Bump => {}
-                }
-            }
-        }
-        impl ShardWorld for GNode {
-            fn handle_global(shards: &mut [&mut Self], at: Time, ev: GEv) {
-                if matches!(ev, GEv::Bump) {
-                    for s in shards.iter_mut() {
-                        s.bumped += 1;
-                        s.global_at.push(at.as_ps());
-                    }
-                }
-            }
-        }
-        let mut sim = ShardedSim::new(
-            vec![GNode::default(), GNode::default()],
-            Time::from_ps(1_000),
-        )
-        .with_threads(2);
-        sim.schedule_at(0, Time::from_ps(42), GEv::Defer);
+        sim.schedule_global(Time::from_ps(9_000), GEv::Global(3));
+        sim.schedule_global(Time::from_ps(42), GEv::Global(1));
+        sim.schedule_global(Time::from_ps(9_000), GEv::Global(4));
+        sim.schedule_global(Time::from_ps(42), GEv::Global(2));
         sim.run();
-        for w in sim.into_worlds() {
-            assert_eq!(w.bumped, 1);
-            // Horizon of the window containing t=42: 42 + 1000.
-            assert_eq!(w.global_at, vec![1_042]);
+        let worlds = sim.into_worlds();
+        assert_eq!(
+            worlds[0].globals,
+            vec![(1, 42, 1), (2, 42, 1), (3, 9_000, 2), (4, 9_000, 2)]
+        );
+        assert_eq!(
+            worlds[1].globals,
+            vec![(1, 42, 1), (2, 42, 1), (3, 9_000, 2), (4, 9_000, 2)]
+        );
+    }
+
+    /// The edge case of a global at the instant a shard stops the run
+    /// (the cluster's `RunEnd`): globals before the stop instant have all
+    /// run, and those at or after it never run — on the flat window and
+    /// on the star alike, whatever the other shard still has pending.
+    #[test]
+    fn a_stop_discards_globals_at_and_after_its_instant() {
+        for star in [false, true] {
+            let worlds = vec![GNode::default(), GNode::default()];
+            let mut sim = ShardedSim::new(worlds, LOOKAHEAD).with_threads(1);
+            if star {
+                let m = vec![vec![Time::MAX, LOOKAHEAD], vec![LOOKAHEAD, Time::MAX]];
+                sim = sim.with_pair_lookahead(m);
+            }
+            sim.schedule_at(0, Time::from_ps(3_000), GEv::Stop);
+            for at in (0..4_000).step_by(250) {
+                sim.schedule_at(1, Time::from_ps(at), GEv::Mark(at));
+            }
+            for (k, at) in [(1, 2_999), (2, 3_000), (3, 3_001)] {
+                sim.schedule_global(Time::from_ps(at), GEv::Global(k));
+            }
+            sim.run();
+            let worlds = sim.into_worlds();
+            // Marks 0, 250, …, 2_750 precede the global at 2_999.
+            assert_eq!(worlds[1].globals, vec![(1, 2_999, 12)], "star={star}");
+            assert_eq!(worlds[0].globals, vec![(1, 2_999, 0)], "star={star}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "before now")]
+    fn a_global_in_the_past_panics() {
+        let mut sim = ShardedSim::new(vec![GNode::default()], LOOKAHEAD);
+        sim.schedule_at(0, Time::from_ps(500), GEv::Mark(1));
+        sim.run();
+        sim.schedule_global(Time::from_ps(10), GEv::Global(1));
     }
 }

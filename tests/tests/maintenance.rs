@@ -20,11 +20,11 @@ fn periodic_snapshots_are_consistent_under_concurrent_writes() {
     cfg.pool_blocks = 64;
 
     let c = run_and_keep(&cfg);
-    assert!(
-        c.snapshots.len() >= 8,
-        "a 1 ms service over 10 ms should tick ≥8 times, got {}",
-        c.snapshots.len()
-    );
+    // Ticks run at their fixed instants, 1 ms … 9 ms; the one at the
+    // 10 ms `RunEnd` instant is discarded with the stopped run.
+    let ticks: Vec<Time> = c.snapshots.iter().map(|s| s.0).collect();
+    let want: Vec<Time> = (1..=9).map(|k| Time::from_ms(1.0) * k).collect();
+    assert_eq!(ticks, want);
     // Snapshot timestamps and write counters are non-decreasing, and writes
     // continued after the last snapshot (it is a frozen view, not the tip).
     let mut prev_writes = 0;

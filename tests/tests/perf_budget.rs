@@ -176,7 +176,7 @@ fn events_budget_chaos_seed_202() {
     let cfg = cfg
         .with_fault_plan(FaultPlan::chaos(202, &spec))
         .with_request_timeout(Time::from_ms(1.0));
-    // Recorded: payload=182_897 (72.2/req), sync=28_429 (11.2/req).
+    // Recorded: payload=182_897 (72.2/req), sync=28_071 (11.1/req).
     assert_budget(
         "chaos/202",
         &cfg,

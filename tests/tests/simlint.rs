@@ -8,15 +8,13 @@ fn simlint_workspace_clean() {
 }
 
 /// Every hub source file under `crates/core/src/cluster/` is governed by
-/// both shard domains, in the checked-in config and in the builtin: a new
-/// file in the hub module cannot fall outside the cross-shard rule.
+/// both shard domains of `crates/lintkit/shard_owned.txt`: a new file in
+/// the hub module cannot fall outside the cross-shard rule.
 #[test]
 fn every_cluster_file_is_governed_by_both_shard_domains() {
     let root = lintkit::workspace_root_from(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root");
-    let text = std::fs::read_to_string(root.join("crates/lintkit/shard_owned.txt"))
-        .expect("read shard_owned.txt");
-    let checked_in = lintkit::ShardConfig::parse(&text).expect("parse shard_owned.txt");
+    let cfg = lintkit::ShardConfig::builtin();
     let mut files: Vec<String> = std::fs::read_dir(root.join("crates/core/src/cluster"))
         .expect("read the cluster module")
         .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
@@ -25,11 +23,9 @@ fn every_cluster_file_is_governed_by_both_shard_domains() {
         .collect();
     files.sort();
     assert!(files.len() >= 5, "the cluster module has shrunk: {files:?}");
-    for cfg in [&checked_in, &lintkit::ShardConfig::builtin()] {
-        for f in &files {
-            let domains: Vec<&str> = cfg.domains_for(f).map(|d| d.name.as_str()).collect();
-            assert_eq!(domains, ["store", "services"], "{f}");
-        }
+    for f in &files {
+        let domains: Vec<&str> = cfg.domains_for(f).map(|d| d.name.as_str()).collect();
+        assert_eq!(domains, ["store", "services"], "{f}");
     }
 }
 
