@@ -65,6 +65,12 @@ SMARTDS_CHAOS_SEED=202 timeout -k 30 1800 cargo test -q --offline -p system-test
 # in-repo JSON parser, is non-empty, and has balanced (open == close) spans.
 SMARTDS_CHAOS_SEED=303 timeout -k 30 1800 cargo test -q --offline -p system-tests --test tracing
 
+# Multi-tenant QoS example: three tenants in their own traffic classes,
+# each class policed to a different rate by admission control. The
+# example asserts every tenant lands within 15 % of its contract, so a
+# broken rate policy fails here.
+timeout -k 30 1800 cargo run -q -p smartds-examples --release --offline --bin tenants
+
 # Rack-scale smoke, quick profile: the fabric topology + open-loop tenant
 # generator + admission-control path end-to-end at a pinned seed, on 4
 # worker threads (the outcome is thread-invariant — golden.rs pins the

@@ -23,7 +23,6 @@ use crate::design::{Design, Driver, RunConfig};
 use crate::fabric::{Fabric, FluidKey};
 use crate::loadgen::LoadGen;
 use crate::metrics::{Metrics, ScaleStats};
-use crate::qos::TokenBucket;
 use crate::services::{ServiceStats, Services};
 use crate::topology::Topology;
 use crate::workload::Workload;
@@ -80,11 +79,8 @@ pub enum Ev {
     /// A fixed delay (Wait step or PCIe propagation) elapsed.
     Delay(u64),
     /// Client slot `slot` issues its next request at traffic class
-    /// `class` (also the deferred issue of tenant-bucket pacing or a
-    /// fail-over stall).
+    /// `class` (also the deferred issue of a fail-over stall).
     Issue(u32, u8),
-    /// Open-loop Poisson arrival.
-    Arrival,
     /// A scheduled `faultkit` fault fires (crash, stall, link degrade…).
     Fault(FaultKind),
     /// Per-request timer expired for request slot `key` at generation
@@ -241,11 +237,6 @@ pub struct Cluster {
     /// Snapshots taken by the maintenance service: `(when, chunk, view)`.
     pub snapshots: Vec<(Time, blockstore::ChunkKey, blockstore::Snapshot)>,
     snapshot_cursor: usize,
-    /// Per-tenant admission buckets (slot `s` belongs to tenant
-    /// `s % buckets.len()`); empty = no rate limiting.
-    tenant_buckets: Vec<TokenBucket>,
-    /// Per-tenant completed writes since warm-up.
-    pub tenant_done: Vec<u64>,
     /// Throughput time series: `(sample time, writes completed so far)`.
     pub samples: Vec<(Time, u64)>,
     in_flight: usize,
@@ -326,10 +317,10 @@ impl Cluster {
         };
         let (loadgen, admission) = match &cfg.driver {
             Driver::Tenants { load, admission } => (
-                Some(LoadGen::new(load.clone(), cfg.seed)),
+                Some(LoadGen::new(load.as_ref().clone(), cfg.seed)),
                 admission.map(Admission::new),
             ),
-            Driver::Closed | Driver::Poisson { .. } => (None, None),
+            Driver::Closed => (None, None),
         };
         let topo = TopoNet::new(cfg.topology.as_ref(), FluidKey::count(ports));
         Cluster {
@@ -360,8 +351,6 @@ impl Cluster {
             issued: 0,
             snapshots: Vec::new(),
             snapshot_cursor: 0,
-            tenant_buckets: Vec::new(),
-            tenant_done: Vec::new(),
             samples: Vec::new(),
             in_flight: 0,
             dropped: 0,
@@ -384,19 +373,6 @@ impl Cluster {
     #[doc(hidden)]
     pub fn shardsan_inject_cross_shard_touch(&mut self, victim_shard: u32) {
         self.shardsan_probe = Some(victim_shard);
-    }
-
-    /// Installs per-tenant rate limits (bytes/s of write payload). Client
-    /// slot `s` issues as tenant `s % rates.len()`; each tenant gets a
-    /// token bucket with an 8-block burst — the QoS policy a flexible
-    /// middle tier can apply because admission stays in host software.
-    pub fn set_tenant_limits(&mut self, rates: Vec<f64>) {
-        let burst = 8.0 * hwmodel::consts::BLOCK_SIZE as f64;
-        self.tenant_buckets = rates
-            .into_iter()
-            .map(|r| TokenBucket::new(r, burst))
-            .collect();
-        self.tenant_done = vec![0; self.tenant_buckets.len()];
     }
 
     /// Fraction of requests issued as reads (default 0; §2.2.3 production
@@ -476,9 +452,6 @@ impl World for Cluster {
             Ev::Issue(slot, class) => {
                 self.issue(slot, class, sched);
             }
-            Ev::Arrival => {
-                self.arrival(sched);
-            }
             Ev::TenantArrival(tenant, class) => {
                 self.tenant_arrival(tenant, class, sched);
             }
@@ -504,7 +477,6 @@ impl World for Cluster {
                 self.sync_all(sched);
                 self.metrics.reset(sched.now());
                 self.warmup_traffic = self.fabric.traffic();
-                self.tenant_done.iter_mut().for_each(|c| *c = 0);
             }
             Ev::RunEnd => {
                 self.sync_all(sched);

@@ -66,9 +66,9 @@ pub struct RetryTicket {
     first_issued_at: Time,
     is_read: bool,
     /// Traffic class (0 = most latency-sensitive … 7 = bulk); retries keep
-    /// the class they were admitted under. Closed-loop and Poisson drivers
-    /// issue everything at class 0; the tenant load generator maps tenants
-    /// onto all 8.
+    /// the class they were admitted under. The closed loop issues
+    /// everything at class 0; the tenant load generator maps tenants onto
+    /// all 8.
     class: u8,
     /// Trace identity survives retries: every attempt of a logical request
     /// lands under the same root span, so a trace shows the whole story.
@@ -326,16 +326,6 @@ impl Cluster {
                     sched.schedule_in(d, Ev::Delay(tok));
                     return;
                 }
-                Step::CompressPayload => {
-                    // Functional compression is memoized per pool block; the
-                    // time was charged by the Cpu/Engine step.
-                    let idx = match self.reqs[key as usize].as_ref() {
-                        Some(req) => req.ticket.pool_idx,
-                        None => return,
-                    };
-                    let _ = self.workload.compressed(idx);
-                    continue;
-                }
                 Step::Mark(kind) => {
                     if let Some(req) = self.reqs[key as usize].as_mut() {
                         req.ticket.seg.mark(kind, now);
@@ -559,10 +549,6 @@ impl Cluster {
                 None => self.workload.compressed(req.ticket.pool_idx).len(),
             };
             self.metrics.stored.add(now, c as f64);
-            if !self.tenant_done.is_empty() && now >= self.metrics.ingest.window_start() {
-                let tenant = req.ticket.slot as usize % self.tenant_done.len();
-                self.tenant_done[tenant] += 1;
-            }
         }
         self.metrics.ops.add(now, 1.0);
         self.tracer.span_close(req.ticket.root, now);
@@ -572,7 +558,7 @@ impl Cluster {
     }
 
     /// Closed loop: the slot issues its next request after a think time.
-    /// Open loop (Poisson or tenant generator): arrivals drive issue.
+    /// Open loop (the tenant generator): arrivals drive issue.
     fn reissue_closed(&mut self, slot: u32, sched: &mut Scheduler<Ev>) {
         match self.cfg.driver {
             Driver::Closed if sched.now() < self.stop_issuing_at => {
@@ -608,42 +594,12 @@ impl Cluster {
     /// Overload shed threshold for open-loop arrivals.
     const OPEN_LOOP_CAP: usize = 8192;
 
-    pub(super) fn arrival(&mut self, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
-        if now >= self.stop_issuing_at {
-            return;
-        }
-        // Schedule the next Poisson arrival first (the process never stops).
-        let Driver::Poisson { gbps } = self.cfg.driver else {
-            unreachable!("Arrival events are only scheduled by the Poisson driver");
-        };
-        let rate = simkit::gbps(gbps);
-        let mean_us = hwmodel::consts::BLOCK_SIZE as f64 / rate * 1e6;
-        let gap = Time::from_ps(self.workload.think_ps(mean_us));
-        sched.schedule_in(gap, Ev::Arrival);
-        if self.in_flight >= Self::OPEN_LOOP_CAP {
-            self.dropped += 1;
-            return;
-        }
-        let slot = (self.issued % u32::MAX as u64) as u32;
-        self.issue(slot, 0, sched);
-    }
-
     /// Client slot `slot` issues a new request at traffic class `class`,
-    /// unless its tenant bucket or a fail-over stall defers it.
+    /// unless a fail-over stall defers it.
     pub(super) fn issue(&mut self, slot: u32, class: u8, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         if now >= self.stop_issuing_at {
             return;
-        }
-        if !self.tenant_buckets.is_empty() {
-            let tenant = slot as usize % self.tenant_buckets.len();
-            if let Err(ready_at) = self.tenant_buckets[tenant]
-                .admit(now, hwmodel::consts::BLOCK_SIZE as u64)
-            {
-                sched.schedule_at(ready_at.max(now), Ev::Issue(slot, class));
-                return;
-            }
         }
         let Some(replicas) = self.selector.choose(self.cfg.replication) else {
             // Not enough healthy servers: retry shortly (fail-over stall).
@@ -704,7 +660,7 @@ impl Cluster {
         }
         let verdict = match self.admission.as_mut() {
             None => Verdict::Admitted,
-            Some(adm) => adm.on_arrival(tenant, class),
+            Some(adm) => adm.on_arrival(now, tenant, class),
         };
         match verdict {
             Verdict::Admitted => {

@@ -88,10 +88,10 @@ pub fn run(cfg: &RunConfig) -> RunReport {
 /// Runs a full experiment for `cfg` and returns its report, the finished
 /// cluster, and the engine's event and synchronization accounting.
 ///
-/// `setup` adjusts the cluster before it starts (a read fraction, tenant
-/// rate limits). The returned cluster lets callers audit functional state:
-/// the chaos suite reads every stored block after the faults and asserts
-/// it still decompresses. The [`EngineStats`] are a property of the
+/// `setup` adjusts the cluster before it starts (a read fraction, a
+/// sequential scan span). The returned cluster lets callers audit
+/// functional state: the chaos suite reads every stored block after the
+/// faults and asserts it still decompresses. The [`EngineStats`] are a property of the
 /// *implementation*, not the simulated outcome: the perf harness and the
 /// events-budget regression test use them as a wall-clock-free measure of
 /// simulator work, kept out of [`RunReport`] so report JSON stays a pure
@@ -201,10 +201,6 @@ pub(super) fn build_sim(
             for slot in 0..cfg.outstanding as u32 {
                 sim.schedule_at(0, Time::from_ps(200_000u64 * slot as u64 + 1), Ev::Issue(slot, 0));
             }
-        }
-        Driver::Poisson { .. } => {
-            // Open loop: a single Poisson arrival process drives issue.
-            sim.schedule_at(0, Time::from_ps(1), Ev::Arrival);
         }
         Driver::Tenants { .. } => {
             // Open loop, tenant generator: seeded arrivals drive issue.

@@ -94,17 +94,13 @@ pub enum Driver {
     /// client slots, each issuing its next request a think time after the
     /// previous one completes.
     Closed,
-    /// Open-loop Poisson arrivals at `gbps` of write payload. Open loop is
-    /// how latency–throughput curves are measured.
-    Poisson {
-        /// Offered load, Gbps of write payload.
-        gbps: f64,
-    },
-    /// The seeded open-loop multi-tenant generator, optionally behind
-    /// SmartNIC-side admission control.
+    /// Open loop: the seeded multi-tenant generator, optionally behind
+    /// SmartNIC-side admission control. Plain Poisson arrivals are its
+    /// one-tenant case ([`LoadSpec::poisson`](crate::LoadSpec::poisson)).
     Tenants {
-        /// Tenant population, skew, rate schedule and class mapping.
-        load: crate::loadgen::LoadSpec,
+        /// Tenant population, skew, rate schedule and class mapping
+        /// (boxed: the spec is large and most runs are closed-loop).
+        load: Box<crate::loadgen::LoadSpec>,
         /// Admission control over the arrival stream, if any.
         admission: Option<crate::admission::AdmissionSpec>,
     },
@@ -156,8 +152,8 @@ pub struct RunConfig {
     /// Zipf skew of block accesses (None = uniform). Production block
     /// workloads are hot-spotted, which drives compaction pressure.
     pub zipf_theta: Option<f64>,
-    /// What issues requests: the closed loop (default), Poisson arrivals,
-    /// or the tenant load generator.
+    /// What issues requests: the closed loop (default) or the open-loop
+    /// tenant load generator.
     pub driver: Driver,
     /// Period of the throughput sampler (transient time series), if any.
     pub sample_period: Option<simkit::Time>,
@@ -307,11 +303,13 @@ impl RunConfig {
     }
 
     /// Drives the cluster with open-loop Poisson arrivals at `gbps` of
-    /// write payload (replaces any earlier driver).
-    pub fn with_open_loop(mut self, gbps: f64) -> Self {
-        assert!(gbps > 0.0, "offered load must be positive");
-        self.driver = Driver::Poisson { gbps };
-        self
+    /// write payload over the run's warm-up and measurement (replaces any
+    /// earlier driver): the one-tenant [`LoadSpec::poisson`] generator.
+    ///
+    /// [`LoadSpec::poisson`]: crate::LoadSpec::poisson
+    pub fn with_open_loop(self, gbps: f64) -> Self {
+        let horizon = self.warmup + self.measure;
+        self.with_load(crate::loadgen::LoadSpec::poisson(gbps, horizon))
     }
 
     /// Sets the write replication factor (1–6).
@@ -334,7 +332,7 @@ impl RunConfig {
     /// generator, without admission control (replaces any earlier driver).
     pub fn with_load(mut self, load: crate::loadgen::LoadSpec) -> Self {
         load.validate();
-        self.driver = Driver::Tenants { load, admission: None };
+        self.driver = Driver::Tenants { load: Box::new(load), admission: None };
         self
     }
 

@@ -16,14 +16,14 @@
 //! * [`scaleup`] — the §5.5 multi-SmartNIC-per-server analysis.
 //! * [`agent`] — the compute-server side: [`agent::VirtualDisk`] byte I/O
 //!   over a segment-routed middle tier (the Figure 2 storage agent).
-//! * [`qos`] — multi-tenant token buckets and deficit-weighted scheduling,
-//!   wired into the cluster's admission path.
 //! * [`topology`] — the rack-scale fabric: racks × servers behind
 //!   oversubscribed ToR/spine links, feeding the shard engine's lookahead.
 //! * [`loadgen`] — seeded open-loop multi-tenant load (zipfian tenant
 //!   popularity, diurnal/burst schedules, per-tenant QoS classes).
 //! * [`admission`] — SmartNIC-side admission control and backpressure for
-//!   the open-loop stream (bounded per-class windows and ingress queues).
+//!   the open-loop stream: per-class token-bucket rate limits (the
+//!   multi-tenant QoS policy), then bounded per-class windows and ingress
+//!   queues.
 //! * [`policy`] — §2.2.1's load-adaptive compression-effort selection
 //!   (including the "compressed many times" multi-pass).
 //!
@@ -54,7 +54,6 @@ pub mod loadgen;
 mod metrics;
 pub mod plan;
 pub mod policy;
-pub mod qos;
 pub mod scaleup;
 pub mod services;
 pub mod topology;

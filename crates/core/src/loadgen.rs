@@ -80,6 +80,30 @@ impl LoadSpec {
         s
     }
 
+    /// Plain Poisson arrivals at `gbps` of write payload: one tenant in
+    /// class 0, no diurnal swing, no bursts. The generator's gaps are then
+    /// exponential with the constant mean `BLOCK_SIZE / rate` — the
+    /// open-loop driver of the latency–throughput curves.
+    pub fn poisson(gbps: f64, horizon: Time) -> Self {
+        let mut class_share = [0.0; CLASSES];
+        class_share[0] = 1.0;
+        let s = LoadSpec {
+            tenants: 1,
+            theta: 0.0,
+            base_gbps: gbps,
+            diurnal_amp: 0.0,
+            // Unused at zero amplitude; `validate` wants it positive.
+            diurnal_period: horizon,
+            bursts: 0,
+            burst_mult: 1.0,
+            burst_len: Time::ZERO,
+            horizon,
+            class_share,
+        };
+        s.validate();
+        s
+    }
+
     /// Checks the spec invariants.
     ///
     /// # Panics
@@ -294,6 +318,27 @@ mod tests {
         let base = LoadGen::new(no_burst, 11);
         let ratio = g.rate_bps(mid) / base.rate_bps(mid);
         assert!((ratio - 3.0).abs() < 1e-9, "burst ratio {ratio}");
+    }
+
+    #[test]
+    fn poisson_spec_is_one_tenant_at_a_constant_rate() {
+        let mut g = LoadGen::new(LoadSpec::poisson(30.0, Time::from_ms(8.0)), 4);
+        assert!(g.burst_windows().is_empty());
+        let rate = simkit::gbps(30.0);
+        for ms in [0.0, 1.3, 5.0, 7.9] {
+            assert_eq!(g.rate_bps(Time::from_ms(ms)), rate);
+        }
+        const N: u32 = 20_000;
+        let mut last = Time::ZERO;
+        for _ in 0..N {
+            let a = g.next_arrival();
+            assert_eq!((a.tenant, a.class), (0, 0));
+            last = a.at;
+        }
+        // Mean gap BLOCK_SIZE / rate ≈ 1.09 µs; 20k draws land within 3 %.
+        let mean_us = last.as_us() / N as f64;
+        let want = BLOCK_SIZE as f64 / rate * 1e6;
+        assert!((mean_us / want - 1.0).abs() < 0.03, "mean gap {mean_us} vs {want}");
     }
 
     #[test]

@@ -74,9 +74,6 @@ pub enum Step {
     /// Run `bytes` through dedicated data-service engine `i`
     /// ([`SVC_ENG_DEDUP`]/[`SVC_ENG_CRYPT`], [`Placement::Engine`]).
     SvcEngine(u8, u32),
-    /// Functional: LZ4-compress the request payload (time is charged by the
-    /// accompanying `Cpu(Compress)` / `Engine` step).
-    CompressPayload,
     /// Functional: a latency-segment boundary. The time since the previous
     /// mark (or issue) is charged to `kind`'s segment in the per-request
     /// [`tracekit::SegmentAccum`], so consecutive marks exactly partition
@@ -212,10 +209,7 @@ fn write_cpu_only(b: u32, c: u32, rep: u8) -> Plan {
     // ③ Software LZ4: core busy b/rate; reads the payload from DRAM (cold —
     // evicted by the 400 MB buffer working set) and writes the result.
     p.phases.push(Phase::par(vec![
-        vec![
-            Step::Cpu(CpuWork::Compress(sw_compress_cost(b, c))),
-            Step::CompressPayload,
-        ],
+        vec![Step::Cpu(CpuWork::Compress(sw_compress_cost(b, c)))],
         vec![Step::Xfer(Res::MemRead, b)],
         vec![Step::Xfer(Res::MemWrite, c)],
     ]));
@@ -286,7 +280,6 @@ fn write_acc(b: u32, c: u32, ddio: bool, rep: u8) -> Plan {
             Step::Xfer(Res::DevH2D, b),
             Step::Engine(0, b),
             Step::Wait(FPGA_ENGINE_PIPELINE),
-            Step::CompressPayload,
             Step::Xfer(Res::DevD2H, c),
         ],
         vec![Step::Xfer(Res::MemRead, fetch_dram)],
@@ -351,7 +344,6 @@ fn write_bf2(port: u8, b: u32, c: u32, rep: u8) -> Plan {
         vec![
             Step::Engine(0, b),
             Step::Wait(SOC_ENGINE_PIPELINE),
-            Step::CompressPayload,
         ],
         vec![Step::Xfer(Res::DevMem, b)],
         vec![Step::Xfer(Res::DevMem, c)],
@@ -410,7 +402,6 @@ fn write_smartds(port: u8, b: u32, c: u32, rep: u8) -> Plan {
         vec![
             Step::Engine(port, b),
             Step::Wait(FPGA_ENGINE_PIPELINE),
-            Step::CompressPayload,
         ],
         vec![Step::Xfer(Res::Hbm, b)],
         vec![Step::Xfer(Res::Hbm, c)],
@@ -826,7 +817,7 @@ mod tests {
                 .count();
             let compresses = steps
                 .iter()
-                .filter(|s| matches!(s, Step::CompressPayload))
+                .filter(|s| matches!(s, Step::Cpu(CpuWork::Compress(_)) | Step::Engine(_, _)))
                 .count();
             assert_eq!(stores, 3, "{d}: replicas");
             assert_eq!(compresses, 1, "{d}: compress steps");

@@ -143,7 +143,7 @@ fn unwrap_in_sim_lib_flagged_but_not_in_tests() {
 fn expect_call_is_flagged_but_expect_ident_alone_is_not() {
     let src = "pub fn f(x: Option<u8>) -> u8 { x.expect(\"boom\") }\n\
                pub fn expect_nothing() {}\n";
-    let diags = lint_rust_file("crates/rocenet/src/qp.rs", src);
+    let diags = lint_rust_file("crates/rocenet/src/verbs.rs", src);
     assert_eq!(rules_of(&diags), ["lib-unwrap"]);
 }
 

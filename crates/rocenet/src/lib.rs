@@ -6,8 +6,6 @@
 //! * [`MemPool`] / [`Region`] — host and device address spaces with real
 //!   bytes (the paper's `host_alloc` / `dev_alloc`).
 //! * [`Message`] — zero-copy byte ropes for RDMA messages.
-//! * [`QueuePair`] — reliable-connection send queues with structural
-//!   in-order delivery.
 //! * [`aams`] — the Split and Assemble modules plus the per-QP
 //!   [`RecvTable`], implementing message-granularity header/payload split
 //!   exactly as §4.1 describes.
@@ -22,8 +20,8 @@
 //!
 //! Timing (wire serialization, PCIe DMA, HBM writes) is charged by the
 //! cluster driver in the `smartds` crate using `hwmodel` resources; this
-//! crate guarantees the *semantics*: split ∘ assemble is the identity, QPs
-//! deliver in order, and every placement is bounds-checked.
+//! crate guarantees the *semantics*: split ∘ assemble is the identity, RC
+//! connections deliver in order, and every placement is bounds-checked.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +30,6 @@ pub mod aams;
 pub mod endpoint;
 mod mem;
 mod message;
-mod qp;
 pub mod rc;
 pub mod verbs;
 
@@ -41,7 +38,6 @@ pub use aams::{
 };
 pub use mem::{MemError, MemPool, Region};
 pub use message::Message;
-pub use qp::{PostedSend, QpAddr, QueuePair};
 
 /// A completion event reported to the application (the `poll(event)` side
 /// of the paper's API).

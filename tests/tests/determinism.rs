@@ -228,6 +228,12 @@ fn equivalent_builder_paths_produce_identical_reports() {
             base.clone().with_open_loop(30.0),
         ),
         (
+            "with_open_loop is the one-tenant Poisson load spec",
+            base.clone().with_open_loop(30.0),
+            base.clone()
+                .with_load(LoadSpec::poisson(30.0, base.warmup + base.measure)),
+        ),
+        (
             "with_fault and with_fault_plan compose in either order",
             fault_then_plan,
             base.clone()
