@@ -9,7 +9,9 @@
 //! paper.
 
 use hwmodel::{wire_bytes, HostMemory, MemClass, MlcInjector, NicPort};
-use simkit::{FlowSpec, FluidResource, Meter, Scheduler, Simulation, Time, WakeSet, World};
+use simkit::{
+    FlowSpec, FluidResource, Meter, Scheduler, ShardWorld, ShardedSim, Time, WakeSet, World,
+};
 
 /// RDMA message size used by the paper (4 MiB).
 pub const MSG_BYTES: usize = 4 << 20;
@@ -43,6 +45,8 @@ enum Ev {
     Start,
     Wake(usize, u64, u64), // fluid index, epoch, coalescer serial
     Warmup,
+    /// Barrier operation: sample the MLC bytes moved by the warm-up end.
+    Sample,
     End,
 }
 
@@ -56,6 +60,8 @@ struct Fwd {
     /// `F_TX`): at most one armed heap entry each, schedule-equivalent to
     /// the push-per-batch driver (see [`simkit::wake`]).
     wakes: WakeSet,
+    /// MLC bytes moved by the end of warm-up (set by [`Ev::Sample`]).
+    mlc_at_warmup: f64,
 }
 
 const F_MEM: usize = 0;
@@ -169,10 +175,21 @@ impl World for Fwd {
             Ev::Warmup => {
                 self.meter.reset(sched.now());
             }
+            Ev::Sample => {}
             Ev::End => sched.stop(),
         }
         let (mem, port) = (&self.mem, &self.port);
         self.wakes.arm(sched, |i| fluid(mem, port, i), Ev::Wake);
+    }
+}
+
+impl ShardWorld for Fwd {
+    /// Runs once every event at or before `at` is done and nothing later,
+    /// so advancing the memory fluid to `at` is exact.
+    fn handle_global(shards: &mut [&mut Self], at: Time, _: Ev) {
+        let fwd = &mut shards[0];
+        fwd.mem.fluid.sync(at);
+        fwd.mlc_at_warmup = fwd.mem.bytes(MemClass::Background);
     }
 }
 
@@ -185,6 +202,7 @@ pub fn point(delay_cycles: u32, mlc_cores: usize) -> Fig4Point {
         remaining: vec![0; OUTSTANDING],
         meter: Meter::new(),
         wakes: WakeSet::new(3),
+        mlc_at_warmup: 0.0,
     };
     let mut mlc = MlcInjector::new(mlc_cores, delay_cycles);
     mlc.start(&mut world.mem, Time::ZERO);
@@ -195,22 +213,18 @@ pub fn point(delay_cycles: u32, mlc_cores: usize) -> Fig4Point {
     }
     let warmup = Time::from_ms(5.0);
     let end = Time::from_ms(25.0);
-    let mut sim = Simulation::new(world);
-    sim.schedule_at(Time::ZERO, Ev::Start);
-    sim.schedule_at(warmup, Ev::Warmup);
-    sim.schedule_at(end, Ev::End);
-    let mlc_bytes_at_warmup = {
-        sim.run_until(warmup);
-        // No discrete event remains before `warmup`, so advancing the fluid
-        // state to the boundary is exact.
-        sim.world_mut().mem.fluid.sync(warmup);
-        sim.world().mem.bytes(MemClass::Background)
-    };
+    // One world, so no message ever crosses shards: the lookahead is
+    // unbounded.
+    let mut sim = ShardedSim::new(vec![world], Time::MAX).with_threads(1);
+    sim.schedule_at(0, Time::ZERO, Ev::Start);
+    sim.schedule_at(0, warmup, Ev::Warmup);
+    sim.schedule_at(0, end, Ev::End);
+    sim.schedule_global(warmup, Ev::Sample);
     sim.run();
-    let world = sim.world_mut();
+    let mut world = sim.into_worlds().remove(0);
     world.mem.fluid.sync(end);
     let rdma = world.meter.rate_gbps(end);
-    let mlc_moved = world.mem.bytes(MemClass::Background) - mlc_bytes_at_warmup;
+    let mlc_moved = world.mem.bytes(MemClass::Background) - world.mlc_at_warmup;
     Fig4Point {
         delay_cycles,
         rdma_gbps: rdma,
@@ -273,6 +287,28 @@ mod tests {
         );
         // And MLC itself achieves most of the memory system.
         assert!(loaded.mlc_gbs > 80.0, "mlc {:.1} GB/s", loaded.mlc_gbs);
+    }
+
+    /// Figure 4's points, pinned to the bit: a change to the engine or the
+    /// models under fig4 that moves one must be deliberate.
+    #[test]
+    fn points_are_pinned_to_the_bit() {
+        let pins: [(u32, usize, u64, u64); 4] = [
+            (u32::MAX, 1, 0x4057_e854_11d0_0c1c, 0x3e61_9999_98b4_ccc0),
+            (0, 48, 0x4045_cf75_1db9_4e6b, 0x405b_0000_0000_0009),
+            (56, 48, 0x4057_7cf4_4765_195f, 0x4058_231b_cb56_4eff),
+            (1024, 48, 0x4057_e854_11d0_0c1c, 0x401a_0b3f_09c4_379f),
+        ];
+        for (delay, cores, rdma, mlc) in pins {
+            let p = point(delay, cores);
+            assert_eq!(
+                (p.rdma_gbps.to_bits(), p.mlc_gbs.to_bits()),
+                (rdma, mlc),
+                "delay {delay} at {cores} cores: {} Gbps, {} GB/s",
+                p.rdma_gbps,
+                p.mlc_gbs
+            );
+        }
     }
 
     #[test]

@@ -189,6 +189,7 @@ impl ChunkStore {
     }
 
     /// Number of distinct live blocks.
+    // simlint: allow(test-only-pub, reason = "store introspection: the store properties check dedup and GC through it")
     pub fn live_blocks(&self) -> usize {
         self.index.len()
     }

@@ -25,7 +25,7 @@
 
 use crate::loadgen::CLASSES;
 use hwmodel::consts::BLOCK_SIZE;
-use simkit::{transfer_time, Time};
+use simkit::Time;
 use std::collections::VecDeque;
 
 /// Burst depth of a class rate limit, in blocks.
@@ -130,7 +130,7 @@ impl Admission {
     pub fn on_arrival(&mut self, now: Time, tenant: u64, class: u8) -> Verdict {
         let c = class as usize & (CLASSES - 1);
         if let Some(bucket) = self.buckets[c].as_mut() {
-            if bucket.admit(now, BLOCK_SIZE as u64).is_err() {
+            if !bucket.admit(now, BLOCK_SIZE as u64) {
                 return Verdict::Rejected;
             }
         }
@@ -217,37 +217,23 @@ impl TokenBucket {
         }
     }
 
-    /// Current token level at `now`.
-    pub fn available(&mut self, now: Time) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
-    /// Tries to admit `bytes` at `now`. On refusal returns the earliest
-    /// time the bytes will be admissible.
+    /// Admits `bytes` at `now` if the bucket holds enough tokens, and
+    /// reports whether it did; a refusal spends nothing.
     ///
     /// Requests larger than the burst are admitted once the bucket is full
     /// and leave it in *debt* (negative tokens), pacing later admissions —
     /// the standard way token buckets handle oversize items without
     /// starving them.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(ready_at)` when the bucket lacks tokens.
-    pub fn admit(&mut self, now: Time, bytes: u64) -> Result<(), Time> {
+    // simlint: allow(test-only-pub, reason = "tests/admission_props.rs checks the policer's conservation bound through it")
+    pub fn admit(&mut self, now: Time, bytes: u64) -> bool {
         self.refill(now);
         let need = bytes as f64;
-        let gate = need.min(self.burst);
         // Sub-byte epsilon absorbs picosecond rounding in the refill clock.
-        if self.tokens + 1e-6 >= gate {
+        let fits = self.tokens + 1e-6 >= need.min(self.burst);
+        if fits {
             self.tokens -= need; // may go negative for oversize requests
-            Ok(())
-        } else {
-            let deficit = gate - self.tokens;
-            // +1 ps guards the round-to-nearest in `transfer_time` so the
-            // returned instant is always sufficient.
-            Err(now + transfer_time(deficit.ceil() as u64, self.rate) + Time::from_ps(1))
         }
+        fits
     }
 }
 
@@ -316,31 +302,30 @@ mod tests {
     #[test]
     fn bucket_admits_burst_then_paces() {
         let mut b = TokenBucket::new(1e9, 8192.0); // 1 GB/s, 2 blocks burst
-        assert!(b.admit(Time::ZERO, 4096).is_ok());
-        assert!(b.admit(Time::ZERO, 4096).is_ok());
+        assert!(b.admit(Time::ZERO, 4096));
+        assert!(b.admit(Time::ZERO, 4096));
         // Bucket empty: the next 4 KiB needs ~4.1 µs of refill.
-        let ready = b.admit(Time::ZERO, 4096).unwrap_err();
-        assert!((4.0..4.2).contains(&ready.as_us()), "{ready}");
-        // At that time it is admissible.
-        assert!(b.admit(ready, 4096).is_ok());
+        assert!(!b.admit(Time::ZERO, 4096));
+        assert!(!b.admit(Time::from_us(4.0), 4096));
+        assert!(b.admit(Time::from_us(4.2), 4096));
     }
 
     #[test]
     fn bucket_never_exceeds_burst() {
+        // A long idle spell refills one burst, not rate × idle time.
         let mut b = TokenBucket::new(1e9, 1000.0);
-        assert!((b.available(Time::from_secs(100.0)) - 1000.0).abs() < 1e-6);
+        assert!(b.admit(Time::from_secs(100.0), 1000));
+        assert!(!b.admit(Time::from_secs(100.0), 1000));
     }
 
     #[test]
     fn bucket_sustains_configured_rate() {
         let mut b = TokenBucket::new(1e6, 4096.0); // 1 MB/s
-        let mut now = Time::ZERO;
         let mut admitted = 0u64;
-        // Greedy arrivals for one second.
-        while now < Time::from_secs(1.0) {
-            match b.admit(now, 1000) {
-                Ok(()) => admitted += 1000,
-                Err(at) => now = at,
+        // Greedy arrivals every 10 µs for one second.
+        for tick in 0..100_000u64 {
+            if b.admit(Time::from_ps(tick * 10_000_000), 1000) {
+                admitted += 1000;
             }
         }
         let rate = admitted as f64; // bytes in ~1 s

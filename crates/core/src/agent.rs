@@ -326,7 +326,7 @@ impl<S: MiddleTierService> ClusterMap<S> {
     }
 
     /// The middle tier owning `segment`.
-    pub fn route_mut(&mut self, segment: u64) -> &mut S {
+    fn route_mut(&mut self, segment: u64) -> &mut S {
         let n = self.tiers.len() as u64;
         &mut self.tiers[(segment % n) as usize]
     }

@@ -371,6 +371,7 @@ impl Cluster {
     /// sanitizer must catch (debug builds panic with both shard ids, the
     /// event time, and its seq). Never set outside tests.
     #[doc(hidden)]
+    // simlint: allow(test-only-pub, reason = "fault-injection hook for the shardsan suite, hidden from the docs")
     pub fn shardsan_inject_cross_shard_touch(&mut self, victim_shard: u32) {
         self.shardsan_probe = Some(victim_shard);
     }

@@ -253,6 +253,7 @@ impl RunConfig {
 
     /// Adds a crash (`alive = false`) or restart of a storage server at
     /// `at` to the fault plan (fail-over experiments).
+    // simlint: allow(test-only-pub, reason = "run-config setter: the fail-over suites script single crashes through it")
     pub fn with_fault(mut self, at: simkit::Time, server: u32, alive: bool) -> Self {
         let kind = if alive {
             faultkit::FaultKind::ServerRestart { server }
@@ -283,6 +284,7 @@ impl RunConfig {
 
     /// Tunes the retry policy: attempts after the first timeout, base
     /// backoff, and the backoff cap.
+    // simlint: allow(test-only-pub, reason = "run-config setter: the fault suites tune retries through it")
     pub fn with_retry_policy(
         mut self,
         max_retries: u32,
@@ -297,6 +299,7 @@ impl RunConfig {
     }
 
     /// Enables the periodic snapshot maintenance service.
+    // simlint: allow(test-only-pub, reason = "run-config setter: the maintenance suites enable snapshots through it")
     pub fn with_snapshots(mut self, period: simkit::Time) -> Self {
         self.snapshot_period = Some(period);
         self

@@ -24,8 +24,6 @@
 //!   the open-loop stream: per-class token-bucket rate limits (the
 //!   multi-tenant QoS policy), then bounded per-class windows and ingress
 //!   queues.
-//! * [`policy`] — §2.2.1's load-adaptive compression-effort selection
-//!   (including the "compressed many times" multi-pass).
 //!
 //! ## Quick start
 //!
@@ -53,7 +51,6 @@ pub mod fabric;
 pub mod loadgen;
 mod metrics;
 pub mod plan;
-pub mod policy;
 pub mod scaleup;
 pub mod services;
 pub mod topology;

@@ -173,7 +173,7 @@ impl Zipf {
     }
 
     /// Draws a rank in `0..n`; rank 0 is the most popular.
-    pub fn draw(&self, rng: &mut Rng) -> u64 {
+    fn draw(&self, rng: &mut Rng) -> u64 {
         let u = rng.gen_f64();
         let uz = u * self.zetan;
         if uz < 1.0 {
@@ -239,7 +239,7 @@ impl LoadGen {
 
     /// Instantaneous offered load at `t`, bytes/s: baseline × diurnal
     /// sine × burst multiplier.
-    pub fn rate_bps(&self, t: Time) -> f64 {
+    fn rate_bps(&self, t: Time) -> f64 {
         let phase = 2.0 * std::f64::consts::PI * t.as_secs() / self.spec.diurnal_period.as_secs();
         let mut rate = simkit::gbps(self.spec.base_gbps) * (1.0 + self.spec.diurnal_amp * phase.sin());
         if self.windows.iter().any(|&(s, e)| t >= s && t < e) {
@@ -249,7 +249,7 @@ impl LoadGen {
     }
 
     /// QoS class of a tenant rank (hottest ranks → premium classes).
-    pub fn class_of(&self, rank: u64) -> u8 {
+    fn class_of(&self, rank: u64) -> u8 {
         self.bounds.iter().position(|&b| rank < b).unwrap_or(CLASSES - 1) as u8
     }
 

@@ -101,7 +101,7 @@ impl Phase {
     }
 
     /// A parallel phase.
-    pub fn par(branches: Vec<Vec<Step>>) -> Self {
+    fn par(branches: Vec<Vec<Step>>) -> Self {
         Phase { branches }
     }
 }

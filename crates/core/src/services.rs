@@ -104,6 +104,7 @@ impl ServicesConfig {
     }
 
     /// Sets the cache capacity and prefetch depth.
+    // simlint: allow(test-only-pub, reason = "services-config setter: the cache suites size the cache through it")
     pub fn with_cache(mut self, blocks: usize, prefetch_depth: usize) -> Self {
         self.cache_blocks = blocks;
         self.prefetch_depth = prefetch_depth;

@@ -78,6 +78,7 @@ impl Topology {
     }
 
     /// Same fabric with the hub moved (`None` = directly on the spine).
+    // simlint: allow(test-only-pub, reason = "fabric setter: the lookahead tests place the hub through it")
     pub fn with_hub_rack(mut self, rack: Option<usize>) -> Self {
         self.hub_rack = rack;
         self.validate();
@@ -85,6 +86,7 @@ impl Topology {
     }
 
     /// Same fabric with explicit per-hop propagation latencies.
+    // simlint: allow(test-only-pub, reason = "fabric setter: the lookahead tests set hop latencies through it")
     pub fn with_latencies(mut self, tor: Time, spine: Time) -> Self {
         self.tor_latency = tor;
         self.spine_latency = spine;

@@ -14,17 +14,17 @@ use simkit::{gbps, Time};
 /// Logical cores per middle-tier server (2 sockets × 12 phys × 2 SMT).
 pub const HOST_LOGICAL_CORES: usize = 48;
 /// Physical cores per middle-tier server.
-pub const HOST_PHYSICAL_CORES: usize = 24;
+const HOST_PHYSICAL_CORES: usize = 24;
 /// Achievable host memory bandwidth, bytes/s (§3.1.2: "around 120 GB/s").
 pub const HOST_MEM_BW: f64 = 120e9;
 /// Theoretical host memory bandwidth (§5.5: 1228 Gbps from eight channels).
 pub const HOST_MEM_BW_THEORETICAL: f64 = 153.6e9;
 /// Last-level cache capacity (§3.1.2).
-pub const LLC_BYTES: u64 = 16 << 20;
+const LLC_BYTES: u64 = 16 << 20;
 /// LLC ways available to DDIO out of the total (§3.1.2: 2 of 11 ways).
-pub const DDIO_WAYS: u32 = 2;
+const DDIO_WAYS: u32 = 2;
 /// Total LLC ways.
-pub const LLC_WAYS: u32 = 11;
+const LLC_WAYS: u32 = 11;
 
 /// DDIO-reachable LLC capacity in bytes.
 pub const fn ddio_capacity() -> u64 {
@@ -42,10 +42,10 @@ pub const INTERMEDIATE_BUFFER_LIFETIME: Time = Time::from_ps(32_000_000_000);
 
 /// LZ4 software compression throughput of one logical core with its SMT
 /// sibling idle (§5.2: "~2.1 Gbps for one logical core").
-pub const CPU_LZ4_SOLO: f64 = gbps(2.1);
+const CPU_LZ4_SOLO: f64 = gbps(2.1);
 /// Combined LZ4 throughput of the two SMT threads of one physical core
 /// (§5.2: "~2.7 Gbps for two logical cores of the same hardware core").
-pub const CPU_LZ4_SMT_PAIR: f64 = gbps(2.7);
+const CPU_LZ4_SMT_PAIR: f64 = gbps(2.7);
 /// Software LZ4 *decompression* is ~7× faster than compression (§2.2.3).
 pub const CPU_LZ4_DECOMP_FACTOR: f64 = 7.0;
 /// Host CPU time to parse a block-storage header and make the placement /
@@ -188,14 +188,14 @@ pub const DISK_BW: f64 = 4e9;
 // ---------------------------------------------------------------------------
 
 /// Host CPU frequency used to convert MLC delay cycles to time.
-pub const HOST_FREQ_HZ: f64 = 2.2e9;
+const HOST_FREQ_HZ: f64 = 2.2e9;
 /// Cache line size (bytes moved per MLC injected request).
-pub const CACHE_LINE: usize = 64;
+const CACHE_LINE: usize = 64;
 /// Issue cost in cycles of one MLC request at zero configured delay. MLC's
 /// bandwidth mode keeps many misses outstanding per thread, so a single
 /// core streams ~10 GB/s; 16 injector cores alone can saturate the memory
 /// system, as §5.3 requires.
-pub const MLC_BASE_CYCLES: f64 = 14.0;
+const MLC_BASE_CYCLES: f64 = 14.0;
 /// Fair-share weight of one MLC thread relative to one in-flight I/O DMA
 /// burst. MLC threads keep deeper miss queues than a DMA channel slot, so
 /// they press harder per thread. Fit to Figure 4's ~46 % residual RDMA

@@ -161,7 +161,7 @@ impl CpuPool {
     }
 
     /// Per-core software LZ4 rate (total capacity / cores), bytes/s.
-    pub fn lz4_rate_per_core(&self) -> f64 {
+    fn lz4_rate_per_core(&self) -> f64 {
         self.lz4_rate_total / self.cores as f64
     }
 

@@ -97,7 +97,7 @@ pub mod module {
 
     /// Extended RoCE stack: the base stack of Sidler et al. plus the
     /// descriptor-table plumbing.
-    pub const fn roce_stack() -> FpgaResources {
+    pub(super) const fn roce_stack() -> FpgaResources {
         FpgaResources::new(62.0, 58.0, 118.0)
     }
 
@@ -107,28 +107,28 @@ pub mod module {
     }
 
     /// The Assemble module (send descriptor table + gather).
-    pub const fn assemble() -> FpgaResources {
+    pub(super) const fn assemble() -> FpgaResources {
         FpgaResources::new(8.0, 7.4, 13.0)
     }
 
     /// One 100 Gbps LZ4 compression engine.
-    pub const fn compress_engine() -> FpgaResources {
+    pub(super) const fn compress_engine() -> FpgaResources {
         FpgaResources::new(70.0, 64.0, 140.0)
     }
 
     /// Per-port HBM interface slice (AXI switch ports, buffers).
-    pub const fn hbm_interface() -> FpgaResources {
+    pub(super) const fn hbm_interface() -> FpgaResources {
         FpgaResources::new(8.8, 6.0, 8.0)
     }
 
     /// Host DMA shell (XDMA/QDMA bridge), shared by "Acc"-style designs.
-    pub const fn dma_shell() -> FpgaResources {
+    pub(super) const fn dma_shell() -> FpgaResources {
         FpgaResources::new(42.0, 45.0, 32.0)
     }
 }
 
 /// Everything one SmartDS networking port instantiates.
-pub fn smartds_per_port() -> FpgaResources {
+fn smartds_per_port() -> FpgaResources {
     module::roce_stack()
         + module::split()
         + module::assemble()

@@ -91,11 +91,6 @@ impl Ddio {
         }
     }
 
-    /// Whether DDIO is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// DDIO-reachable LLC bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity
@@ -104,7 +99,7 @@ impl Ddio {
     /// Fraction of device *reads* served from the LLC, given the working-set
     /// size between the producing DMA write and this read. 1.0 means memory
     /// sees no read traffic.
-    pub fn read_hit_fraction(&self, working_set: u64) -> f64 {
+    fn read_hit_fraction(&self, working_set: u64) -> f64 {
         if !self.enabled || working_set == 0 {
             return if self.enabled { 1.0 } else { 0.0 };
         }

@@ -36,7 +36,7 @@ impl MlcInjector {
     }
 
     /// Aggregate demand rate in bytes/s at the configured delay.
-    pub fn demand(&self) -> f64 {
+    fn demand(&self) -> f64 {
         self.cores as f64 * mlc_core_demand(self.delay_cycles)
     }
 

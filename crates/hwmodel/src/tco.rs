@@ -61,7 +61,7 @@ impl CostModel {
     /// # Panics
     ///
     /// Panics on non-positive throughputs.
-    pub fn fleet(&self, target_gbps: f64, per_server_gbps: f64, cards_per_server: u64) -> FleetCost {
+    fn fleet(&self, target_gbps: f64, per_server_gbps: f64, cards_per_server: u64) -> FleetCost {
         assert!(target_gbps > 0.0 && per_server_gbps > 0.0, "bad throughput");
         let servers = (target_gbps / per_server_gbps).ceil() as u64;
         let cards = servers * cards_per_server;

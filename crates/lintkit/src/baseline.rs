@@ -6,9 +6,11 @@
 //! count is at or below the baseline count, all of that pair's diagnostics
 //! are grandfathered; if it exceeds the baseline, *every* diagnostic for
 //! the pair is reported (the offender is usually obvious from the diff, and
-//! line numbers are too unstable to key on). Burn-down is free — deleting
-//! violations never breaks the build, and `--baseline-write` re-tightens
-//! the counts deterministically.
+//! line numbers are too unstable to key on). The ratchet turns one way
+//! only: a pair whose count is above its current violations — slack left
+//! by a burn-down, or a stale pair with none left — fails the scan until
+//! `--baseline-write` re-tightens the counts, so no budget sits unused
+//! where a new violation could take it unseen.
 
 use crate::rules::Diagnostic;
 use std::collections::BTreeMap;
@@ -64,7 +66,7 @@ impl Baseline {
         let mut out = String::from(
             "# simlint baseline: grandfathered violations, one `rule path count` per line.\n\
              # Regenerate with `cargo run -p lintkit -- --baseline-write` after burning\n\
-             # sites down; new violations (counts above these) fail the build.\n",
+             # sites down; a count above or below the current violations fails the build.\n",
         );
         for ((rule, file), count) in counts {
             out.push_str(&format!("{rule} {file} {count}\n"));
@@ -106,13 +108,20 @@ impl Baseline {
         self.entries.is_empty()
     }
 
-    /// Entries whose file/rule pair produced no diagnostics at all — these
-    /// are stale and should be pruned with `--baseline-write`.
+    /// Entries whose count is above their pair's current diagnostics —
+    /// slack, or a pair with none left. Each fails the scan until
+    /// `--baseline-write` re-records it.
     pub fn stale<'a>(&'a self, diags: &[Diagnostic]) -> Vec<(&'a str, &'a str)> {
         self.entries
-            .keys()
-            .filter(|(rule, file)| !diags.iter().any(|d| d.rule == rule && &d.file == file))
-            .map(|(rule, file)| (rule.as_str(), file.as_str()))
+            .iter()
+            .filter(|((rule, file), &budget)| {
+                diags
+                    .iter()
+                    .filter(|d| d.rule == rule && &d.file == file)
+                    .count()
+                    < budget
+            })
+            .map(|((rule, file), _)| (rule.as_str(), file.as_str()))
             .collect()
     }
 }
@@ -166,11 +175,20 @@ mod tests {
 
     #[test]
     fn burn_down_is_free() {
+        // Burning sites down reports no violation; the slack it leaves is
+        // stale until the baseline is re-recorded.
         let base = Baseline::parse("lib-unwrap crates/a/src/y.rs 5\n").unwrap();
-        let (reported, grandfathered) = base.apply(vec![diag("lib-unwrap", "crates/a/src/y.rs", 3)]);
+        let diags = vec![diag("lib-unwrap", "crates/a/src/y.rs", 3)];
+        let (reported, grandfathered) = base.apply(diags.clone());
         assert!(reported.is_empty());
         assert_eq!(grandfathered.len(), 1);
+        assert_eq!(base.stale(&diags).len(), 1, "a pair with slack is stale");
         assert_eq!(base.stale(&[]).len(), 1, "fully burned pairs are stale");
+        let exact = Baseline::parse("lib-unwrap crates/a/src/y.rs 1\n").unwrap();
+        assert!(
+            exact.stale(&diags).is_empty(),
+            "an exact count is not stale"
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! | `shared-mutable` | no shared-mutable-state types on the shard payload path |
 //! | `cross-shard-access` | shard-owned methods only from audited store/barrier code |
 //! | `float-fold-order` | float folds in the fluid solver walk a fixed order |
+//! | `test-only-pub` | no sim-crate `pub fn`/`const`/`static` that only tests reach (baselined) |
 //! | `stale-allow` | every allow-annotation must still suppress something |
 //!
 //! It ships three ways: as `cargo run -p lintkit` (file:line:rule
@@ -24,7 +25,10 @@
 //!
 //! Suppression is per-site (`// simlint: allow(<rule>, reason = "…")`) or
 //! via the checked-in [`baseline`] ratchet (`lintkit/baseline.txt`) which
-//! grandfathers pre-existing `lib-unwrap` sites while they are burned down.
+//! grandfathers pre-existing `lib-unwrap` and `test-only-pub` sites while
+//! they are burned down. The ratchet only turns one way: an entry that
+//! allows more than the current count fails the scan until
+//! `--baseline-write` re-records it.
 //!
 //! Everything here is zero-dependency by construction: the lexer in
 //! [`lexer`] is hand-rolled (comment/string/attribute aware, with
@@ -52,16 +56,18 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Violations tolerated by the baseline ratchet.
     pub grandfathered: Vec<Diagnostic>,
-    /// Stale baseline entries (pairs with zero current violations).
+    /// Stale baseline entries `(rule, file)`: pairs whose count exceeds
+    /// their current violations (zero included). Each fails the scan.
     pub stale_baseline: Vec<(String, String)>,
     /// Number of files scanned (`.rs` + `Cargo.toml`).
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// True when nothing needs reporting.
+    /// True when nothing needs reporting: no violation, and no baseline
+    /// entry left with slack.
     pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
+        self.diagnostics.is_empty() && self.stale_baseline.is_empty()
     }
 
     /// Renders the report the way the CLI prints it.
@@ -76,12 +82,10 @@ impl Report {
             self.diagnostics.len(),
             self.grandfathered.len(),
         ));
-        if !self.stale_baseline.is_empty() {
+        for (rule, file) in &self.stale_baseline {
             out.push_str(&format!(
-                "simlint: note: {} stale baseline entr{} — run `cargo run -p lintkit -- \
-                 --baseline-write` to prune\n",
-                self.stale_baseline.len(),
-                if self.stale_baseline.len() == 1 { "y" } else { "ies" },
+                "crates/lintkit/baseline.txt: stale entry `{rule} {file}` allows more \
+                 violations than remain — re-run `cargo run -p lintkit -- --baseline-write`\n"
             ));
         }
         out
@@ -200,6 +204,10 @@ pub fn baseline_path(root: &Path) -> PathBuf {
 /// Propagates I/O failures reading the tree.
 pub fn raw_scan(root: &Path) -> io::Result<(Vec<Diagnostic>, usize)> {
     let files = collect_files(root)?;
+    let sources = files
+        .iter()
+        .map(|rel| fs::read_to_string(root.join(rel)))
+        .collect::<io::Result<Vec<String>>>()?;
     let mut diags = Vec::new();
     // Shard-domain config for cross-shard-access: the checked-in file
     // when present (a malformed one is a violation, not a crash), the
@@ -223,13 +231,22 @@ pub fn raw_scan(root: &Path) -> io::Result<(Vec<Diagnostic>, usize)> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => ShardConfig::builtin(),
         Err(e) => return Err(e),
     };
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
+    // Every Rust file is lexed once: the per-file rules and the
+    // cross-file test-only-pub pass share the tokens.
+    let mut lexed = Vec::new();
+    for (rel, src) in files.iter().zip(&sources) {
         if rel.ends_with("Cargo.toml") {
-            diags.extend(lint_manifest(rel, &src));
-        } else {
-            diags.extend(lint_rust_file_with(rel, &src, &shard_cfg));
+            diags.extend(lint_manifest(rel, src));
+            continue;
         }
+        match rules::lex_file(rel, src) {
+            Ok(tokens) => lexed.push((rel.as_str(), tokens)),
+            Err(d) => diags.push(d),
+        }
+    }
+    let test_only = rules::test_only_pub(&lexed);
+    for ((rel, tokens), found) in lexed.iter().zip(&test_only) {
+        diags.extend(rules::lint_tokens(rel, tokens, &shard_cfg, found));
     }
     diags.sort();
     Ok((diags, files.len()))

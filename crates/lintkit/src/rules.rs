@@ -11,6 +11,7 @@
 use crate::items::index_items;
 use crate::lexer::{lex_marked, Token, TokenKind};
 use crate::shardcfg::ShardConfig;
+use std::collections::BTreeMap;
 
 /// A single finding, pointing at a file, line, and named rule.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -91,6 +92,13 @@ pub const RULES: &[RuleInfo] = &[
                   in the fluid solver; fp addition is non-associative, so folds must walk a \
                   fixed-order structure (class_bytes/class_weight/capped) to keep results \
                   seed-pure",
+    },
+    RuleInfo {
+        name: "test-only-pub",
+        summary: "a `pub fn`/`pub const`/`pub static` in a sim-crate library that no non-test \
+                  code outside its own file names (tests/ trees and #[cfg(test)] code do not \
+                  count; benches, examples, bins and perfbench do): delete it, or drop `pub` \
+                  when its own file uses it (baseline-grandfathered)",
     },
     RuleInfo {
         name: "stale-allow",
@@ -253,22 +261,37 @@ pub fn lint_rust_file(rel: &str, src: &str) -> Vec<Diagnostic> {
 }
 
 /// Lints one Rust source file against an explicit shard-domain config
-/// (the workspace scan loads `crates/lintkit/shard_owned.txt`).
+/// (the workspace scan loads `crates/lintkit/shard_owned.txt`). The
+/// cross-file `test-only-pub` rule needs the whole workspace, so only
+/// the workspace scan runs it.
 pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec<Diagnostic> {
+    match lex_file(rel, src) {
+        Ok(tokens) => lint_tokens(rel, &tokens, shard_cfg, &[]),
+        Err(d) => vec![d],
+    }
+}
+
+/// Lexes `src` with test regions marked, or reports a `lex-error`.
+pub(crate) fn lex_file<'a>(rel: &str, src: &'a str) -> Result<Vec<Token<'a>>, Diagnostic> {
+    lex_marked(src).map_err(|e| Diagnostic {
+        file: rel.to_string(),
+        line: e.line,
+        rule: "lex-error",
+        msg: e.msg,
+    })
+}
+
+/// Lints one lexed file; `test_only` holds its `test-only-pub` findings
+/// (line, message) from [`test_only_pub`], so allow-annotations suppress
+/// them like any other rule's.
+pub(crate) fn lint_tokens(
+    rel: &str,
+    tokens: &[Token<'_>],
+    shard_cfg: &ShardConfig,
+    test_only: &[(u32, String)],
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let tokens = match lex_marked(src) {
-        Ok(t) => t,
-        Err(e) => {
-            diags.push(Diagnostic {
-                file: rel.to_string(),
-                line: e.line,
-                rule: "lex-error",
-                msg: e.msg,
-            });
-            return diags;
-        }
-    };
-    let allows = collect_allows(rel, &tokens, &mut diags);
+    let allows = collect_allows(rel, tokens, &mut diags);
     let push = |rule: &'static str, line: u32, msg: String, diags: &mut Vec<Diagnostic>| {
         if !allowed(&allows, rule, line) {
             diags.push(Diagnostic {
@@ -285,10 +308,7 @@ pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec
     let time_cast = TIME_CAST_FILES.contains(&rel);
 
     // Code tokens only (comments carry no violations themselves).
-    let code: Vec<&Token<'_>> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .collect();
+    let code = code_tokens(tokens);
 
     for (i, t) in code.iter().enumerate() {
         if t.kind != TokenKind::Ident {
@@ -747,6 +767,10 @@ pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec
         }
     }
 
+    for (line, msg) in test_only {
+        push("test-only-pub", *line, msg.clone(), &mut diags);
+    }
+
     // stale-allow: every surviving annotation must have suppressed at
     // least one finding; one that fires on nothing is a stale escape
     // hatch that will silently swallow the next real regression on that
@@ -767,6 +791,108 @@ pub fn lint_rust_file_with(rel: &str, src: &str, shard_cfg: &ShardConfig) -> Vec
         }
     }
     diags
+}
+
+/// The comment-free view of a token stream.
+fn code_tokens<'t, 'a>(tokens: &'t [Token<'a>]) -> Vec<&'t Token<'a>> {
+    tokens
+        .iter()
+        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
+        .collect()
+}
+
+/// True for a file of a `tests/` tree: a crate's integration tests or
+/// the system-test crate.
+fn is_test_path(rel: &str) -> bool {
+    rel.starts_with("tests/") || rel.contains("/tests/")
+}
+
+/// The `pub fn` / `pub const fn` / `pub const` / `pub static` items of a
+/// comment-free token stream outside test code: `(kind, name, line)`.
+/// Restricted visibility (`pub(crate)`) is not `pub`.
+fn pub_items<'a>(code: &[&Token<'a>]) -> Vec<(&'static str, &'a str, u32)> {
+    let mut out = Vec::new();
+    for (i, t) in code.iter().enumerate() {
+        if t.in_test || t.kind != TokenKind::Ident || t.text != "pub" {
+            continue;
+        }
+        let at = |k: usize| code.get(i + k).map_or("", |t| t.text);
+        let (kind, name_at) = match (at(1), at(2)) {
+            ("fn", _) => ("fn", 2),
+            ("const", "fn") => ("fn", 3),
+            ("const", _) => ("const", 2),
+            ("static", "mut") => ("static", 3),
+            ("static", _) => ("static", 2),
+            _ => continue,
+        };
+        if let Some(name) = code.get(i + name_at) {
+            if name.kind == TokenKind::Ident && name.text != "_" {
+                out.push((kind, name.text, name.line));
+            }
+        }
+    }
+    out
+}
+
+/// test-only-pub, the one cross-file rule: for each file of `files`
+/// (path, marked tokens), the `(line, message)` of every `pub` item of a
+/// sim-crate library that no other file names in non-test code. A name
+/// counts wherever it appears as an identifier outside `#[cfg(test)]`
+/// code and `tests/` trees (a `pub use` re-export included). Matching is
+/// by name only, so an item that shares its name with anything used
+/// elsewhere is never flagged: the rule can miss dead code, never flag
+/// live code.
+pub(crate) fn test_only_pub(files: &[(&str, Vec<Token<'_>>)]) -> Vec<Vec<(u32, String)>> {
+    // How often each file names each identifier in non-test code.
+    let named: Vec<BTreeMap<&str, usize>> = files
+        .iter()
+        .map(|(rel, tokens)| {
+            let mut names = BTreeMap::new();
+            if is_test_path(rel) {
+                return names;
+            }
+            for t in tokens {
+                if t.kind == TokenKind::Ident && !t.in_test {
+                    *names.entry(t.text).or_insert(0) += 1;
+                }
+            }
+            names
+        })
+        .collect();
+    files
+        .iter()
+        .enumerate()
+        .map(|(f, (rel, tokens))| {
+            if !is_sim_crate_lib(rel) {
+                return Vec::new();
+            }
+            let defs = pub_items(&code_tokens(tokens));
+            defs.iter()
+                .filter(|(_, name, _)| {
+                    !named
+                        .iter()
+                        .enumerate()
+                        .any(|(g, names)| g != f && names.contains_key(name))
+                })
+                .map(|&(kind, name, line)| {
+                    // The file names the item once per definition.
+                    let own_defs = defs.iter().filter(|d| d.1 == name).count();
+                    let msg = if named[f].get(name).copied().unwrap_or(0) > own_defs {
+                        format!(
+                            "pub {kind} `{name}` is named in no other file's non-test code: \
+                             only its own file uses it: drop `pub`"
+                        )
+                    } else {
+                        format!(
+                            "pub {kind} `{name}` is named in no non-test code: \
+                             only tests use it: delete it"
+                        )
+                    };
+                    (line, msg)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Lints one `Cargo.toml`, enforcing the zero-dependency policy: every

@@ -389,6 +389,173 @@ fn one_allow_covering_two_findings_is_used_not_stale() {
     assert!(lint_rust_file("crates/simkit/src/engine.rs", src).is_empty());
 }
 
+// ------------------------------------------------------------ test-only-pub
+
+/// Writes `files` (path, text) as a fresh fixture workspace named `name`
+/// and returns its root.
+fn fixture(name: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&root);
+    for (rel, text) in files {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("fixture paths have a parent"))
+            .expect("create fixture dir");
+        std::fs::write(path, text).expect("write fixture file");
+    }
+    root
+}
+
+/// The raw diagnostics of fixture workspace `name`.
+fn scan_fixture(name: &str, files: &[(&str, &str)]) -> Vec<lintkit::Diagnostic> {
+    lintkit::raw_scan(&fixture(name, files))
+        .expect("scan fixture")
+        .0
+}
+
+/// One library item, `lonely`, that the other fixture files may call.
+const LONELY: (&str, &str) = ("crates/simkit/src/lonely.rs", "pub fn lonely() {}\n");
+
+#[test]
+fn test_only_pub_flags_a_fn_only_a_tests_dir_calls() {
+    let diags = scan_fixture(
+        "top-tests-dir",
+        &[
+            LONELY,
+            (
+                "crates/core/tests/t.rs",
+                "#[test]\nfn t() { simkit::lonely(); }\n",
+            ),
+        ],
+    );
+    assert_eq!(rules_of(&diags), ["test-only-pub"], "{diags:?}");
+    assert_eq!((diags[0].file.as_str(), diags[0].line), (LONELY.0, 1));
+    assert!(
+        diags[0].msg.ends_with("only tests use it: delete it"),
+        "{}",
+        diags[0].msg
+    );
+}
+
+#[test]
+fn test_only_pub_flags_a_fn_only_cfg_test_code_calls() {
+    let user = "pub fn other() {}\n#[cfg(test)]\nmod tests { fn t() { simkit::lonely(); } }\n";
+    let diags = scan_fixture(
+        "top-cfg-test",
+        &[
+            LONELY,
+            ("crates/core/src/user.rs", user),
+            ("examples/e.rs", "fn main() { other(); }\n"),
+        ],
+    );
+    assert_eq!(rules_of(&diags), ["test-only-pub"], "{diags:?}");
+    assert_eq!(diags[0].file, LONELY.0);
+}
+
+#[test]
+fn test_only_pub_says_drop_pub_when_only_its_own_file_uses_it() {
+    let lib = "pub fn helper() {}\npub fn entry() { helper(); }\n";
+    let diags = scan_fixture(
+        "top-own-file",
+        &[
+            ("crates/core/src/lib.rs", lib),
+            ("crates/bench/src/main.rs", "fn main() { entry(); }\n"),
+        ],
+    );
+    assert_eq!(rules_of(&diags), ["test-only-pub"], "{diags:?}");
+    assert_eq!(diags[0].line, 1, "only `helper` is flagged");
+    assert!(
+        diags[0]
+            .msg
+            .ends_with("only its own file uses it: drop `pub`"),
+        "{}",
+        diags[0].msg
+    );
+}
+
+#[test]
+fn test_only_pub_spares_callers_in_other_src_trees_and_perfbench() {
+    for (name, caller) in [
+        ("top-src-caller", "crates/bench/src/run.rs"),
+        ("top-perfbench-caller", "perfbench/src/main.rs"),
+    ] {
+        let diags = scan_fixture(
+            name,
+            &[LONELY, (caller, "fn main() { simkit::lonely(); }\n")],
+        );
+        assert!(diags.is_empty(), "{caller}: {diags:?}");
+    }
+}
+
+#[test]
+fn test_only_pub_leaves_types_alone() {
+    let lib = "pub struct Row;\npub enum Kind { A }\npub trait Probe {}\n";
+    let diags = scan_fixture("top-types", &[("crates/core/src/lib.rs", lib)]);
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn test_only_pub_allow_suppresses_and_an_unused_one_is_stale() {
+    let allowed = "// simlint: allow(test-only-pub, reason = \"test-facing by intent\")\n\
+                   pub fn lonely() {}\n";
+    let diags = scan_fixture("top-allowed", &[("crates/simkit/src/lonely.rs", allowed)]);
+    assert!(diags.is_empty(), "{diags:?}");
+    let diags = scan_fixture(
+        "top-stale-allow",
+        &[
+            ("crates/simkit/src/lonely.rs", allowed),
+            ("crates/core/src/user.rs", "fn f() { simkit::lonely(); }\n"),
+        ],
+    );
+    assert_eq!(rules_of(&diags), ["stale-allow"], "{diags:?}");
+}
+
+// --------------------------------------------------------- baseline ratchet
+
+/// Scans fixture `name` (`LONELY`, one test-only-pub finding) under
+/// `baseline`; returns whether it is clean and the rendered report.
+fn scan_with_baseline(name: &str, baseline: &str) -> (bool, String) {
+    let root = fixture(name, &[LONELY, ("crates/lintkit/baseline.txt", baseline)]);
+    let report = lintkit::scan(&root).expect("scan fixture");
+    (report.is_clean(), report.render())
+}
+
+#[test]
+fn exact_baseline_is_clean() {
+    let (clean, text) = scan_with_baseline(
+        "baseline-exact",
+        "test-only-pub crates/simkit/src/lonely.rs 1\n",
+    );
+    assert!(clean, "{text}");
+}
+
+#[test]
+fn baseline_slack_fails_the_scan() {
+    let (clean, text) = scan_with_baseline(
+        "baseline-slack",
+        "test-only-pub crates/simkit/src/lonely.rs 2\n",
+    );
+    assert!(
+        !clean,
+        "a count above the current violations must fail: {text}"
+    );
+    assert!(
+        text.contains("re-run `cargo run -p lintkit -- --baseline-write`"),
+        "{text}"
+    );
+}
+
+#[test]
+fn stale_baseline_entry_fails_the_scan() {
+    let baseline = "lib-unwrap crates/simkit/src/gone.rs 1\n\
+                    test-only-pub crates/simkit/src/lonely.rs 1\n";
+    let (clean, text) = scan_with_baseline("baseline-stale", baseline);
+    assert!(!clean, "an entry with no violations left must fail: {text}");
+    assert!(
+        text.contains("`lib-unwrap crates/simkit/src/gone.rs`"),
+        "{text}"
+    );
+}
+
 // ------------------------------------------------------- whole-repo self-test
 
 #[test]

@@ -13,8 +13,6 @@
 //!   packetization, 24-bit PSNs, cumulative ACKs, go-back-N NAK recovery,
 //!   and RNR handling, property-tested for exactly-once in-order delivery
 //!   under arbitrary loss.
-//! * [`verbs`] — one-sided RDMA: protection domains, rkey registration,
-//!   and permission-checked remote WRITE/READ (the Figure 4 access mode).
 //! * [`endpoint`] — the composed NIC: per-QP RC state machines feeding the
 //!   Split module, tested end to end across a lossy wire.
 //!
@@ -31,7 +29,6 @@ pub mod endpoint;
 mod mem;
 mod message;
 pub mod rc;
-pub mod verbs;
 
 pub use aams::{
     assemble_from, split_into, AamsError, RecvDesc, RecvTable, SendDesc, SplitPlacement,

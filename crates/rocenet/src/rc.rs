@@ -43,7 +43,7 @@ impl Psn {
 
     /// Serial-number distance `self → other` in the 24-bit circle,
     /// interpreted as "how far ahead is other" (0 ≤ d < 2²⁴).
-    pub fn distance_to(self, other: Psn) -> u32 {
+    fn distance_to(self, other: Psn) -> u32 {
         (other.0.wrapping_sub(self.0)) & PSN_MASK
     }
 

@@ -1,12 +1,14 @@
-//! The discrete-event engine: an event queue plus an executor.
+//! The event queue a world schedules into: [`World`] and [`Scheduler`].
 //!
-//! The engine is deliberately minimal. A simulation is a [`World`]: a single
-//! state machine that owns every model object (nodes, resources, transports)
-//! and receives its own event type back from the queue. Model objects are
-//! written as *passive* state machines — they return "what to do next" data
-//! instead of scheduling directly — and the world maps those onto
-//! [`Scheduler::schedule_in`] calls. This keeps models unit-testable without
-//! an engine and sidesteps shared-mutability patterns.
+//! A simulation is a set of [`World`]s, each a single state machine that
+//! owns its model objects (nodes, resources, transports) and receives its
+//! own event type back from its queue. Model objects are written as
+//! *passive* state machines — they return "what to do next" data instead
+//! of scheduling directly — and the world maps those onto
+//! [`Scheduler::schedule_in`] calls. This keeps models unit-testable
+//! without an engine and sidesteps shared-mutability patterns. The one
+//! executor is [`ShardedSim`](crate::ShardedSim); a single world runs as
+//! its one shard.
 //!
 //! Determinism: events at the same timestamp fire in FIFO insertion order
 //! (a monotonically increasing sequence number breaks ties), so a seeded
@@ -15,7 +17,7 @@
 //! # Examples
 //!
 //! ```
-//! use simkit::{Scheduler, Simulation, Time, World};
+//! use simkit::{Scheduler, ShardWorld, ShardedSim, Time, World};
 //!
 //! struct Counter {
 //!     fired: Vec<u32>,
@@ -31,11 +33,13 @@
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(Counter { fired: vec![] });
-//! sim.schedule_at(Time::ZERO, 0);
+//! impl ShardWorld for Counter {}
+//!
+//! let mut sim = ShardedSim::new(vec![Counter { fired: vec![] }], Time::MAX).with_threads(1);
+//! sim.schedule_at(0, Time::ZERO, 0);
 //! sim.run();
-//! assert_eq!(sim.world().fired, vec![0, 1, 2, 3]);
-//! assert_eq!(sim.now(), Time::from_ns(30.0));
+//! assert_eq!(sim.now(0), Time::from_ns(30.0));
+//! assert_eq!(sim.into_worlds()[0].fired, vec![0, 1, 2, 3]);
 //! ```
 
 use crate::time::Time;
@@ -52,9 +56,9 @@ pub trait World {
 
 /// Tie-break class for same-timestamp events: cross-shard deliveries sort
 /// before locally scheduled events, making the merged order independent of
-/// the synchronization-window boundaries (see `simkit::shard`). Purely
-/// local simulations only ever use `CLASS_LOCAL`, so their FIFO semantics
-/// are untouched.
+/// the synchronization-window boundaries (see `simkit::shard`). A world
+/// that never receives a message only ever sees `CLASS_LOCAL`, so its FIFO
+/// semantics are untouched.
 pub(crate) const CLASS_DELIVERED: u8 = 0;
 pub(crate) const CLASS_LOCAL: u8 = 1;
 
@@ -117,10 +121,11 @@ pub struct Scheduler<E> {
     seq: u64,
     queue: TimerWheel<E>,
     stopped: bool,
-    /// This shard's id and conservative lookahead, set by the sharded
-    /// engine. `None` in plain sequential simulations, where [`Scheduler::send`]
-    /// is misuse.
-    remote: Option<(u32, Time)>,
+    /// This shard's id.
+    shard: u32,
+    /// The engine's conservative lookahead: the shortest delay
+    /// [`Scheduler::send`] accepts.
+    lookahead: Time,
     /// Cross-shard messages sent during the current window, one growable
     /// buffer per destination shard (index = destination id). The sharded
     /// engine swaps these against empty same-capacity buffers at each
@@ -131,14 +136,17 @@ pub struct Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    pub(crate) fn new() -> Self {
+    /// A scheduler for shard `shard` of `shards`, at time zero with an
+    /// empty queue.
+    pub(crate) fn new(shard: u32, lookahead: Time, shards: usize) -> Self {
         Scheduler {
             now: Time::ZERO,
             seq: 0,
             queue: TimerWheel::new(),
             stopped: false,
-            remote: None,
-            outboxes: Vec::new(),
+            shard,
+            lookahead,
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
             msg_seq: 0,
         }
     }
@@ -178,24 +186,20 @@ impl<E> Scheduler<E> {
 
     /// Sends `event` to shard `dst`, arriving `delay` after now.
     ///
-    /// Only meaningful under the sharded engine (`simkit::shard`): the
-    /// message is parked in this shard's outbox and merged into `dst`'s
-    /// queue at the next synchronization barrier. Deliveries are ordered by
-    /// `(arrival time, sending shard, send sequence)` and sort *before*
-    /// same-timestamp local events, so the merged execution is independent
-    /// of where the engine's window boundaries fall.
+    /// The message is parked in this shard's outbox and merged into `dst`'s
+    /// queue at the engine's next synchronization barrier. Deliveries are
+    /// ordered by `(arrival time, sending shard, send sequence)` and sort
+    /// *before* same-timestamp local events, so the merged execution is
+    /// independent of where the engine's window boundaries fall.
     ///
     /// # Panics
     ///
-    /// Panics in a plain sequential [`Simulation`] (no shard engine to
-    /// drain the outbox), when `dst` is this shard itself, or when `delay`
+    /// Panics when `dst` is this shard itself or unknown, or when `delay`
     /// is below the engine's conservative lookahead — the lookahead bound
     /// is exactly what makes windowed parallel execution exact, so a too-
     /// short delay is a model bug, not a tolerable approximation.
     pub fn send(&mut self, dst: u32, delay: Time, event: E) {
-        let Some((me, lookahead)) = self.remote else {
-            panic!("Scheduler::send outside the sharded engine (see simkit::shard)");
-        };
+        let (me, lookahead) = (self.shard, self.lookahead);
         assert!(dst != me, "shard {me} sending to itself: use schedule_in");
         assert!(
             delay >= lookahead,
@@ -212,11 +216,6 @@ impl<E> Scheduler<E> {
             seq,
             event,
         });
-    }
-
-    pub(crate) fn enable_remote(&mut self, shard: u32, lookahead: Time, shards: usize) {
-        self.remote = Some((shard, lookahead));
-        self.outboxes = (0..shards).map(|_| Vec::new()).collect();
     }
 
     /// Pushes a cross-shard delivery (class 0: before same-time locals).
@@ -288,7 +287,8 @@ impl<E> Scheduler<E> {
         });
     }
 
-    /// Requests that the executor stop after the current event.
+    /// Requests that the engine stop after the current event (the run
+    /// ends after the current window; see `simkit::shard`).
     pub fn stop(&mut self) {
         self.stopped = true;
     }
@@ -303,6 +303,7 @@ impl<E> Scheduler<E> {
         self.queue.next_time()
     }
 
+    #[cfg(test)]
     pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
         self.queue.pop()
     }
@@ -318,168 +319,67 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// A discrete-event simulation: a [`World`] plus its event queue.
-#[derive(Debug)]
-pub struct Simulation<W: World> {
-    world: W,
-    sched: Scheduler<W::Event>,
-    executed: u64,
-}
-
-impl<W: World> Simulation<W> {
-    /// Creates a simulation at time zero with an empty queue.
-    pub fn new(world: W) -> Self {
-        Simulation {
-            world,
-            sched: Scheduler::new(),
-            executed: 0,
-        }
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> Time {
-        self.sched.now()
-    }
-
-    /// Total number of events executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Shared access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
-    /// Exclusive access to the world (e.g. to inject load or read metrics).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Consumes the simulation, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
-    /// Schedules an event before or between runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule_at(&mut self, at: Time, event: W::Event) {
-        self.sched.schedule_at(at, event);
-    }
-
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Time, event: W::Event) {
-        self.sched.schedule_in(delay, event);
-    }
-
-    /// Executes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some(s) = self.sched.pop() else {
-            return false;
-        };
-        debug_assert!(s.at >= self.sched.now);
-        self.sched.now = s.at;
-        self.executed += 1;
-        self.world.handle(s.event, &mut self.sched);
-        true
-    }
-
-    /// Runs until the queue is empty or [`Scheduler::stop`] is called.
-    pub fn run(&mut self) {
-        while !self.sched.stopped && self.step() {}
-        self.sched.stopped = false;
-    }
-
-    /// Runs until the queue drains, `stop()` is called, or the next event
-    /// would fire after `deadline`. Time is left at the last executed event
-    /// (it does not jump to the deadline).
-    pub fn run_until(&mut self, deadline: Time) {
-        while !self.sched.stopped {
-            match self.sched.next_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        self.sched.stopped = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{ShardWorld, ShardedSim};
 
+    /// Logs every event; on `"reserve"` it reserves a sequence number,
+    /// schedules `"c"` and then fills the reservation with `"b"`, all at
+    /// the current instant.
     #[derive(Default)]
     struct Recorder {
         log: Vec<(u64, &'static str)>,
-        stop_at: Option<&'static str>,
     }
 
     impl World for Recorder {
         type Event = &'static str;
         fn handle(&mut self, ev: &'static str, sched: &mut Scheduler<&'static str>) {
             self.log.push((sched.now().as_ps(), ev));
-            if self.stop_at == Some(ev) {
-                sched.stop();
+            match ev {
+                "reserve" => {
+                    let reserved = sched.reserve_seq();
+                    sched.schedule_at(sched.now(), "c");
+                    sched.schedule_at_seq(sched.now(), reserved, "b");
+                }
+                "unreserved" => sched.schedule_at_seq(sched.now(), 99, "x"),
+                _ => {}
             }
         }
     }
 
+    impl ShardWorld for Recorder {}
+
+    /// A one-shard engine over a fresh recorder with `events` scheduled.
+    fn sim(events: &[(u64, &'static str)]) -> ShardedSim<Recorder> {
+        let mut sim = ShardedSim::new(vec![Recorder::default()], Time::MAX).with_threads(1);
+        for &(at, ev) in events {
+            sim.schedule_at(0, Time::from_ps(at), ev);
+        }
+        sim
+    }
+
+    fn run(events: &[(u64, &'static str)]) -> Vec<(u64, &'static str)> {
+        let mut sim = sim(events);
+        sim.run();
+        sim.into_worlds().remove(0).log
+    }
+
     #[test]
     fn fifo_order_for_simultaneous_events() {
-        let mut sim = Simulation::new(Recorder::default());
-        sim.schedule_at(Time::from_ps(10), "a");
-        sim.schedule_at(Time::from_ps(10), "b");
-        sim.schedule_at(Time::from_ps(5), "c");
-        sim.run();
         assert_eq!(
-            sim.world().log,
+            run(&[(10, "a"), (10, "b"), (5, "c")]),
             vec![(5, "c"), (10, "a"), (10, "b")],
             "same-time events must preserve insertion order"
         );
     }
 
     #[test]
-    fn run_until_stops_before_deadline_exceeded() {
-        let mut sim = Simulation::new(Recorder::default());
-        sim.schedule_at(Time::from_ps(10), "a");
-        sim.schedule_at(Time::from_ps(20), "b");
-        sim.schedule_at(Time::from_ps(30), "c");
-        sim.run_until(Time::from_ps(20));
-        assert_eq!(sim.world().log, vec![(10, "a"), (20, "b")]);
-        assert_eq!(sim.now(), Time::from_ps(20));
-        sim.run();
-        assert_eq!(sim.world().log.last(), Some(&(30, "c")));
-    }
-
-    #[test]
-    fn stop_halts_and_resets() {
-        let mut sim = Simulation::new(Recorder {
-            stop_at: Some("b"),
-            ..Recorder::default()
-        });
-        sim.schedule_at(Time::from_ps(1), "a");
-        sim.schedule_at(Time::from_ps(2), "b");
-        sim.schedule_at(Time::from_ps(3), "c");
-        sim.run();
-        assert_eq!(sim.world().log.len(), 2);
-        // Stop flag resets: a second run resumes.
-        sim.world_mut().stop_at = None;
-        sim.run();
-        assert_eq!(sim.world().log.len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
-        let mut sim = Simulation::new(Recorder::default());
-        sim.schedule_at(Time::from_ps(10), "a");
+        let mut sim = sim(&[(10, "a")]);
         sim.run();
-        sim.schedule_at(Time::from_ps(5), "late");
+        sim.schedule_at(0, Time::from_ps(5), "late");
     }
 
     #[test]
@@ -487,15 +387,9 @@ mod tests {
         // Reserve a slot, schedule a later event, then fill the reserved
         // slot: at equal timestamps the deferred event must still fire in
         // the order its reservation was made, not its push.
-        let mut sim = Simulation::new(Recorder::default());
-        sim.schedule_at(Time::from_ps(10), "a");
-        let reserved = sim.sched.reserve_seq();
-        sim.schedule_at(Time::from_ps(10), "c");
-        sim.sched.schedule_at_seq(Time::from_ps(10), reserved, "b");
-        sim.run();
         assert_eq!(
-            sim.world().log,
-            vec![(10, "a"), (10, "b"), (10, "c")],
+            run(&[(10, "reserve")]),
+            vec![(10, "reserve"), (10, "b"), (10, "c")],
             "a deferred push must land in its reserved FIFO slot"
         );
     }
@@ -503,18 +397,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "never reserved")]
     fn unreserved_seq_panics() {
-        let mut sim = Simulation::new(Recorder::default());
-        sim.sched.schedule_at_seq(Time::from_ps(1), 99, "x");
-    }
-
-    #[test]
-    fn executed_counter() {
-        let mut sim = Simulation::new(Recorder::default());
-        for i in 0..5 {
-            sim.schedule_at(Time::from_ps(i), "x");
-        }
-        sim.run();
-        assert_eq!(sim.executed(), 5);
+        run(&[(1, "unreserved")]);
     }
 
     testkit::prop! {
@@ -534,8 +417,7 @@ mod tests {
             // deferred-push freedom `simkit::wake` exploits.
             use std::cmp::Reverse;
             use std::collections::BinaryHeap;
-            let mut sched: Scheduler<u64> = Scheduler::new();
-            sched.enable_remote(0, Time::from_ps(1), 1);
+            let mut sched: Scheduler<u64> = Scheduler::new(0, Time::from_ps(1), 1);
             let mut shadow: BinaryHeap<Reverse<Scheduled<u64>>> = BinaryHeap::new();
             let mut reserved: Vec<u64> = Vec::new();
             let mut msg_seq = 0u64;

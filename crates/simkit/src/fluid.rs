@@ -27,8 +27,8 @@
 //!
 //! # Performance
 //!
-//! With `n` live flows and `k` of them rate-capped, start, end, cap change
-//! and sync cost **O(log n + completions + k)** and
+//! With `n` live flows and `k` of them rate-capped, start, end and sync
+//! cost **O(log n + completions + k)** and
 //! [`FluidResource::next_wake`] costs O(1 + k). Only the Intel MLC injector
 //! caps flows, so `k` is 0 on every hot resource. This is the GPS/WFQ
 //! virtual-time construction (Parekh & Gallager 1993; Demers, Keshav &
@@ -45,9 +45,9 @@
 //!   the tag heap drains.
 //! - **An indexed finish-tag heap.** Tags live in a binary min-heap on
 //!   `(tag, slot)` with a slot → position array, so the next uncapped
-//!   completion is the heap top and `end_flow`/`set_rate_cap` remove a
-//!   flow in O(log n). Persistent (∞-byte) flows count toward the level
-//!   and the per-class weights but never enter the heap.
+//!   completion is the heap top and `end_flow` removes a flow in
+//!   O(log n). Persistent (∞-byte) flows count toward the level and the
+//!   per-class weights but never enter the heap.
 //! - **Per-class bytes from per-class weights.** Each sync credits every
 //!   class `live uncapped weight × ΔV`, then takes back the overshoot of
 //!   each flow retired past its tag, so a flow is credited exactly its
@@ -452,21 +452,19 @@ impl FluidResource {
         }
     }
 
-    /// Undoes [`attach`](Self::attach) for live `slot`, returning the bytes
-    /// it still had to move.
-    fn detach(&mut self, slot: u32) -> f64 {
+    /// Undoes [`attach`](Self::attach) for live `slot`.
+    fn detach(&mut self, slot: u32) {
         let i = slot as usize;
         if self.cap[i].is_finite() {
             let pos = self.capped_pos(slot);
             debug_assert_eq!(self.capped.get(pos).map(|f| f.slot), Some(slot));
-            return self.capped.remove(pos).remaining;
+            self.capped.remove(pos);
+            return;
         }
         self.release_weight(slot);
-        if self.heap_pos[i] == NOT_IN_HEAP {
-            return f64::INFINITY;
+        if self.heap_pos[i] != NOT_IN_HEAP {
+            self.heap_remove(slot);
         }
-        self.heap_remove(slot);
-        (self.tag[i] - self.vclock) * self.weight[i]
     }
 
     /// Takes an uncapped slot's weight out of its class.
@@ -653,28 +651,6 @@ impl FluidResource {
         self.live[i] = false;
         self.active -= 1;
         self.free.push(id.0);
-        self.recompute();
-    }
-
-    /// Changes a live flow's rate cap (e.g. the downstream stage sped up).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow is not live, or if `cap` is negative or NaN.
-    pub fn set_rate_cap(&mut self, now: Time, id: FlowId, cap: f64) {
-        assert!(
-            cap >= 0.0 && !cap.is_nan(),
-            "{}: invalid rate cap {cap}",
-            self.name
-        );
-        self.sync(now);
-        let i = id.0 as usize;
-        assert!(self.live[i], "{}: capping non-live flow {id:?}", self.name);
-        // The flow may change sides: pull it out under its old cap and
-        // re-place it, bytes intact, under the new one.
-        let remaining = self.detach(id.0);
-        self.cap[i] = cap;
-        self.attach(id.0, remaining);
         self.recompute();
     }
 
@@ -865,16 +841,6 @@ mod tests {
         assert!(total <= r.capacity() * (1.0 + 1e-9), "over-allocated: {total}");
         // Work conservation: with at least one uncapped flow, everything is used.
         assert!(total >= r.capacity() * (1.0 - 1e-9), "under-allocated: {total}");
-    }
-
-    #[test]
-    fn set_rate_cap_changes_rate() {
-        let mut r = FluidResource::new("link", 10e9);
-        let id = r.start_flow(Time::ZERO, f64::INFINITY, FlowSpec::new(), 1);
-        assert_eq!(r.flow_rate(id), 10e9);
-        r.set_rate_cap(Time::from_secs(1.0), id, 1e9);
-        assert_eq!(r.flow_rate(id), 1e9);
-        assert!((r.total_bytes() - 10e9).abs() < 1.0);
     }
 
     #[test]
@@ -1125,14 +1091,6 @@ mod tests {
                 self.recompute();
             }
 
-            pub fn set_rate_cap(&mut self, now: Time, slot: u32, cap: f64) {
-                self.sync(now);
-                let f = &mut self.flows[slot as usize];
-                assert!(f.live);
-                f.spec.rate_cap = cap;
-                self.recompute();
-            }
-
             pub fn set_capacity_frac(&mut self, now: Time, frac: f64) {
                 self.sync(now);
                 self.capacity = self.nominal * frac;
@@ -1219,7 +1177,6 @@ mod tests {
         enum Op {
             Start { bytes: u32, weight: u8, cap: u8, persistent: bool },
             End { which: u8 },
-            SetCap { which: u8, cap: u8 },
             SetCapacity { pct: u8 },
             Advance { ps: u32 },
             AdvanceToWake,
@@ -1240,7 +1197,6 @@ mod tests {
                         persistent
                     }),
                 gen::u8s(..).map(|which| Op::End { which }),
-                (gen::u8s(..), gen::u8s(0..5)).map(|(which, cap)| Op::SetCap { which, cap }),
                 gen::u8s(0..101).map(|pct| Op::SetCapacity { pct }),
                 gen::u32s(1..100_000_000).map(|ps| Op::Advance { ps }),
                 gen::just(Op::AdvanceToWake),
@@ -1292,11 +1248,6 @@ mod tests {
             fn end(&mut self, slot: u32) {
                 self.fast.end_flow(self.now, FlowId(slot));
                 self.slow.end_flow(self.now, slot);
-            }
-
-            fn set_cap(&mut self, slot: u32, cap: f64) {
-                self.fast.set_rate_cap(self.now, FlowId(slot), cap);
-                self.slow.set_rate_cap(self.now, slot, cap);
             }
 
             fn set_capacity(&mut self, frac: f64) {
@@ -1364,7 +1315,7 @@ mod tests {
         fn run_script(ops: &[Op]) {
             let mut pair = Lockstep::new(10e9);
             let mut token = 0u64;
-            // Slots ever started, for End/SetCap to pick targets from.
+            // Slots ever started, for End to pick targets from.
             let mut slots: Vec<u32> = Vec::new();
             for op in ops {
                 match *op {
@@ -1384,16 +1335,6 @@ mod tests {
                         let slot = slots[which as usize % slots.len()];
                         if pair.slow.is_live(slot) {
                             pair.end(slot);
-                        }
-                    }
-                    Op::SetCap { which, cap } => {
-                        if slots.is_empty() {
-                            continue;
-                        }
-                        let slot = slots[which as usize % slots.len()];
-                        if pair.slow.is_live(slot) {
-                            let cap = if cap == 0 { f64::INFINITY } else { cap as f64 * 1.5e9 };
-                            pair.set_cap(slot, cap);
                         }
                     }
                     Op::SetCapacity { pct } => pair.set_capacity(pct as f64 / 100.0),
@@ -1418,23 +1359,25 @@ mod tests {
 
         #[test]
         fn capped_uncapped_transitions_match_oracle() {
-            // A directed script that moves flows between the capped side
-            // set and the tag heap (and back) while flows retire
-            // mid-stream, and drains the heap so the clock re-bases.
+            // A directed script whose capped flows turn binding and slack
+            // (and back) as the capacity moves, while flows of both sides
+            // retire mid-stream, and that drains the heap so the clock
+            // re-bases.
             let ops = vec![
                 Op::Start { bytes: 0, weight: 1, cap: 0, persistent: true },
                 Op::Start { bytes: 50_000_000, weight: 2, cap: 0, persistent: false },
-                Op::SetCap { which: 0, cap: 1 },
                 Op::Start { bytes: 80_000_000, weight: 1, cap: 2, persistent: false },
+                Op::Start { bytes: 0, weight: 1, cap: 1, persistent: true },
                 Op::AdvanceToWake,
-                Op::SetCap { which: 0, cap: 0 },
                 Op::Advance { ps: 5_000_000 },
-                Op::SetCap { which: 2, cap: 0 },
-                Op::AdvanceToWake,
                 Op::SetCapacity { pct: 40 },
                 Op::AdvanceToWake,
+                Op::SetCapacity { pct: 10 },
+                Op::Advance { ps: 5_000_000 },
                 Op::SetCapacity { pct: 100 },
+                Op::End { which: 3 },
                 Op::End { which: 0 },
+                Op::AdvanceToWake,
                 Op::AdvanceToWake,
             ];
             run_script(&ops);
@@ -1477,15 +1420,12 @@ mod tests {
             // Host memory under the MLC injector: a heavy, rate-capped
             // persistent flow, an uncapped persistent one, and short I/O
             // bursts of mixed weights and classes (a few capped), with the
-            // injector's cap retuned, capacity degraded and bursts
-            // abandoned along the way.
+            // injector restarted under a new cap, capacity degraded and
+            // bursts abandoned along the way.
             let mut pair = Lockstep::new(96e9);
             let mut rng = Rng::new(0x3C7);
-            let mlc = pair.start(
-                f64::INFINITY,
-                FlowSpec::new().weight(72.0).rate_cap(30e9).class(2),
-                u64::MAX,
-            );
+            let injector = |cap: f64| FlowSpec::new().weight(72.0).rate_cap(cap).class(2);
+            let mut mlc = pair.start(f64::INFINITY, injector(30e9), u64::MAX);
             pair.start(f64::INFINITY, FlowSpec::new().weight(1.5).class(2), u64::MAX - 1);
             let mut token = 0u64;
             let burst = |pair: &mut Lockstep, rng: &mut Rng, token: &mut u64| {
@@ -1508,13 +1448,16 @@ mod tests {
                     burst(&mut pair, &mut rng, &mut token);
                 }
                 if cycle % 50 == 0 {
-                    pair.set_cap(mlc, caps[(cycle / 50) as usize % caps.len()]);
+                    pair.end(mlc);
+                    let cap = caps[(cycle / 50) as usize % caps.len()];
+                    mlc = pair.start(f64::INFINITY, injector(cap), u64::MAX);
                 }
                 if cycle % 97 == 0 {
                     pair.set_capacity(if cycle % 194 == 0 { 0.5 } else { 1.0 });
                 }
                 if cycle % 211 == 0 {
-                    if let Some(slot) = pair.live_slot(rng.next_u64()).filter(|&s| s > 1) {
+                    let burst_slot = |s: &u32| *s > 1 && *s != mlc;
+                    if let Some(slot) = pair.live_slot(rng.next_u64()).filter(burst_slot) {
                         pair.end(slot);
                         burst(&mut pair, &mut rng, &mut token);
                     }

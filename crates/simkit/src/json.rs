@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 
 /// Escapes and quotes one JSON string.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

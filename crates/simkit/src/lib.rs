@@ -4,11 +4,12 @@
 //! discrete-event core plus the resource models every middle-tier design is
 //! built from.
 //!
-//! * [`Simulation`] / [`World`] / [`Scheduler`] — the event loop. A world is a
-//!   single state machine owning all model objects; events at equal
-//!   timestamps fire in FIFO order, so runs are exactly reproducible.
-//! * [`ShardedSim`] / [`ShardWorld`] — conservative-lookahead parallel
-//!   execution of several worlds, deterministic for any `SMARTDS_THREADS`.
+//! * [`World`] / [`Scheduler`] — the event queue. A world is a single
+//!   state machine owning its model objects; events at equal timestamps
+//!   fire in FIFO order, so runs are exactly reproducible.
+//! * [`ShardedSim`] / [`ShardWorld`] — the one executor: conservative-
+//!   lookahead parallel execution of one or more worlds, deterministic for
+//!   any `SMARTDS_THREADS`. A single world runs as a one-shard engine.
 //! * [`Time`] — integer-picosecond instants and durations.
 //! * [`FluidResource`] — weighted max-min fair bandwidth sharing
 //!   (links, PCIe, memory channels, HBM, compression engines).
@@ -23,7 +24,7 @@
 //! # Example: two flows sharing a link inside an event loop
 //!
 //! ```
-//! use simkit::{gbps, FlowSpec, FluidResource, Scheduler, Simulation, Time, World};
+//! use simkit::{gbps, FlowSpec, FluidResource, Scheduler, ShardWorld, ShardedSim, Time, World};
 //!
 //! struct Net {
 //!     link: FluidResource,
@@ -58,15 +59,19 @@
 //!     }
 //! }
 //!
+//! impl ShardWorld for Net {}
+//!
 //! let mut net = Net { link: FluidResource::new("nic", gbps(100.0)), done: vec![] };
 //! net.link.start_flow(Time::ZERO, 4096.0, FlowSpec::new(), 1);
 //! net.link.start_flow(Time::ZERO, 8192.0, FlowSpec::new(), 2);
 //! let (first_wake, epoch) = (net.link.next_wake().unwrap(), net.link.epoch());
-//! let mut sim = Simulation::new(net);
-//! sim.schedule_at(first_wake, Ev::Wake(epoch));
+//! // One world: a one-shard engine, which never sends a message, so its
+//! // lookahead is unbounded.
+//! let mut sim = ShardedSim::new(vec![net], Time::MAX).with_threads(1);
+//! sim.schedule_at(0, first_wake, Ev::Wake(epoch));
 //! sim.run();
 //! // The small flow finishes first, then the large one.
-//! assert_eq!(sim.world().done, vec![1, 2]);
+//! assert_eq!(sim.into_worlds()[0].done, vec![1, 2]);
 //! ```
 //!
 //! (The cluster driver in the `smartds` crate shows the full wiring.)
@@ -89,7 +94,7 @@ pub mod wake;
 mod wheel;
 
 pub use bytes::Bytes;
-pub use engine::{Scheduler, Simulation, World};
+pub use engine::{Scheduler, World};
 pub use sanitizer::ShardTag;
 pub use shard::{env_threads, EngineStats, ShardWorld, ShardedSim};
 pub use fluid::{FlowEnd, FlowId, FlowSpec, FluidResource};

@@ -15,9 +15,8 @@
 //! accessors call [`ShardTag::check`] on entry. The engine maintains a
 //! thread-local mode:
 //!
-//! - **Inactive** — outside any `ShardedSim::run` (plain [`crate::Simulation`],
-//!   setup/teardown code, unit tests). Every check passes: sequential
-//!   execution cannot race.
+//! - **Inactive** — outside any `ShardedSim::run` (setup/teardown code,
+//!   unit tests). Every check passes: sequential execution cannot race.
 //! - **Parallel { shard, at, seq }** — this worker is executing the given
 //!   shard's events inside a window. [`ShardTag::check`] panics unless the
 //!   tag's owner is that shard; [`assert_barrier`] panics unconditionally.

@@ -226,8 +226,7 @@ where
             .into_iter()
             .enumerate()
             .map(|(i, world)| {
-                let mut sched = Scheduler::new();
-                sched.enable_remote(i as u32, lookahead, n);
+                let sched = Scheduler::new(i as u32, lookahead, n);
                 Mutex::new(Cell {
                     world,
                     sched,
@@ -878,11 +877,7 @@ mod tests {
         let mut cells: Vec<(Node, Scheduler<TEv>, u64)> = build_worlds(stores)
             .into_iter()
             .enumerate()
-            .map(|(i, w)| {
-                let mut s = Scheduler::new();
-                s.enable_remote(i as u32, LOOKAHEAD, n);
-                (w, s, 0u64)
-            })
+            .map(|(i, w)| (w, Scheduler::new(i as u32, LOOKAHEAD, n), 0u64))
             .collect();
         let mut bufs: Vec<Vec<Outgoing<TEv>>> = (0..n).map(|_| Vec::new()).collect();
         let mut globals: Vec<(u64, TEv)> = Vec::new();
@@ -1355,21 +1350,6 @@ mod tests {
         impl ShardWorld for BadWorld {}
         let mut sim = ShardedSim::new(vec![BadWorld, BadWorld], LOOKAHEAD);
         sim.schedule_at(0, Time::from_ps(5), Bad);
-        sim.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the sharded engine")]
-    fn send_under_plain_simulation_panics() {
-        struct SendWorld;
-        impl World for SendWorld {
-            type Event = u32;
-            fn handle(&mut self, _: u32, sched: &mut Scheduler<u32>) {
-                sched.send(1, LOOKAHEAD, 0);
-            }
-        }
-        let mut sim = crate::Simulation::new(SendWorld);
-        sim.schedule_at(Time::from_ps(1), 0);
         sim.run();
     }
 

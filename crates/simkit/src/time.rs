@@ -25,13 +25,13 @@ pub const PS_PER_MS: u64 = 1_000_000_000;
 pub const PS_PER_SEC: u64 = 1_000_000_000_000;
 
 /// `PS_PER_NS` as `f64` (exact; see `scale_constants_agree` test).
-pub const PS_PER_NS_F64: f64 = 1e3;
+const PS_PER_NS_F64: f64 = 1e3;
 /// `PS_PER_US` as `f64` (exact).
-pub const PS_PER_US_F64: f64 = 1e6;
+const PS_PER_US_F64: f64 = 1e6;
 /// `PS_PER_MS` as `f64` (exact).
-pub const PS_PER_MS_F64: f64 = 1e9;
+const PS_PER_MS_F64: f64 = 1e9;
 /// `PS_PER_SEC` as `f64` (exact).
-pub const PS_PER_SEC_F64: f64 = 1e12;
+const PS_PER_SEC_F64: f64 = 1e12;
 
 /// The single audited `f64 → u64` picosecond conversion point. Rust's
 /// float-to-int `as` saturates: NaN maps to 0, negatives clamp to 0, and
@@ -222,7 +222,7 @@ impl Time {
 
     /// True if this is the [`Time::MAX`] "never" sentinel.
     #[inline]
-    pub const fn is_never(self) -> bool {
+    const fn is_never(self) -> bool {
         self.0 == u64::MAX
     }
 }

@@ -38,7 +38,7 @@
 //! # Driver usage
 //!
 //! ```
-//! use simkit::{gbps, FlowSpec, FluidResource, Scheduler, Simulation, Time, WakeSet, World};
+//! use simkit::{gbps, FlowSpec, FluidResource, Scheduler, ShardWorld, ShardedSim, Time, WakeSet, World};
 //!
 //! #[derive(Debug)]
 //! enum Ev {
@@ -71,6 +71,8 @@
 //!     }
 //! }
 //!
+//! impl ShardWorld for Net {}
+//!
 //! let mut net = Net {
 //!     links: vec![FluidResource::new("a", gbps(100.0)), FluidResource::new("b", gbps(50.0))],
 //!     wakes: WakeSet::new(2),
@@ -80,10 +82,10 @@
 //! net.links[1].start_flow(Time::ZERO, 4096.0, FlowSpec::new(), 2);
 //! net.wakes.touch(0);
 //! net.wakes.touch(1);
-//! let mut sim = Simulation::new(net);
-//! sim.schedule_at(Time::ZERO, Ev::Start);
+//! let mut sim = ShardedSim::new(vec![net], Time::MAX).with_threads(1);
+//! sim.schedule_at(0, Time::ZERO, Ev::Start);
 //! sim.run();
-//! assert_eq!(sim.world().done, vec![1, 2]);
+//! assert_eq!(sim.into_worlds()[0].done, vec![1, 2]);
 //! ```
 //!
 //! [`FluidResource`]: crate::FluidResource

@@ -10,7 +10,9 @@
 //! `(time, index, epoch)`, the same completions, and the same scheduler
 //! sequence numbers at every unrelated event, in the same order.
 
-use simkit::{gbps, FlowSpec, FluidResource, Scheduler, Simulation, Time, WakeSet, World};
+use simkit::{
+    gbps, FlowSpec, FluidResource, Scheduler, ShardWorld, ShardedSim, Time, WakeSet, World,
+};
 use testkit::gen::{self, Gen};
 use testkit::one_of;
 
@@ -63,10 +65,12 @@ enum Ev {
     Batch(usize),
     Echo(u64),
     Wake(usize, u64, u64),
+    /// Ends the run.
+    End,
 }
 
 /// The wakeup protocol under test: `WakeSet`, or the naive oracle.
-trait Driver {
+trait Driver: Send {
     fn touch(&mut self, i: usize);
     fn arm(&mut self, sched: &mut Scheduler<Ev>, fluids: &[FluidResource]);
     /// Whether the delivered wake is live.
@@ -140,6 +144,8 @@ impl<D: Driver> Net<D> {
     }
 }
 
+impl<D: Driver> ShardWorld for Net<D> {}
+
 impl<D: Driver> World for Net<D> {
     type Event = Ev;
 
@@ -157,6 +163,7 @@ impl<D: Driver> World for Net<D> {
             Ev::Echo(id) => {
                 self.log.push(Rec::Unrelated(now, id, sched.reserve_seq()));
             }
+            Ev::End => sched.stop(),
             Ev::Batch(b) => {
                 self.log.push(Rec::Unrelated(now, b as u64, sched.reserve_seq()));
                 let k = self.fluids.len();
@@ -199,12 +206,13 @@ fn drive<D: Driver>(k: usize, batches: &[Batch], driver: D) -> Vec<Rec> {
         next_echo: 0,
         log: Vec::new(),
     };
-    let mut sim = Simulation::new(net);
+    let mut sim = ShardedSim::new(vec![net], Time::MAX).with_threads(1);
     for (b, batch) in batches.iter().enumerate() {
-        sim.schedule_at(Time::from_us(f64::from(batch.at_us)), Ev::Batch(b));
+        sim.schedule_at(0, Time::from_us(f64::from(batch.at_us)), Ev::Batch(b));
     }
-    sim.run_until(Time::from_ms(100.0));
-    sim.into_world().log
+    sim.schedule_at(0, Time::from_ms(100.0), Ev::End);
+    sim.run();
+    sim.into_worlds().remove(0).log
 }
 
 testkit::prop! {

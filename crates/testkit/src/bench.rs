@@ -130,14 +130,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one benchmark without an input.
-    pub fn bench_function<F>(&mut self, id: BenchmarkId, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.bench_with_input(id, &(), |b, ()| f(b))
-    }
-
     /// Ends the group (kept for criterion API parity).
     pub fn finish(self) {}
 }

@@ -38,12 +38,6 @@ impl Config {
         self.cases = cases;
         self
     }
-
-    /// Overrides the shrink budget.
-    pub fn with_shrink_budget(mut self, budget: u32) -> Self {
-        self.shrink_budget = budget;
-        self
-    }
 }
 
 /// Derives the per-case seed from the base seed (SplitMix64 finalizer, so

@@ -85,7 +85,7 @@ impl Tracer {
 
     /// Head-sampling decision for a request's issue ordinal: a pure function
     /// of `(seed, ordinal)`, independent of tracer state.
-    pub fn sampled(&self, ordinal: u64) -> bool {
+    fn sampled(&self, ordinal: u64) -> bool {
         self.on && mix(self.seed ^ mix(ordinal)).is_multiple_of(self.sample_one_in)
     }
 

@@ -42,59 +42,24 @@ fn same_seed_same_report_with_snapshots_and_reads() {
     assert_eq!(a.to_json(), b.to_json());
 }
 
-/// Drives a seeded op mix over the rocenet verbs + AAMS path and renders a
-/// textual trace from the ordered iterators (`ProtectionDomain::rkeys`,
-/// `Endpoint::qpns`, `RecvTable` depths). The trace observes map iteration
-/// order directly, so a `HashMap` regression in those structures shows up
-/// here as a byte diff between same-seed runs.
+/// Drives seeded split receives over the rocenet AAMS path and renders a
+/// textual trace from the ordered iterators (`Endpoint::qpns`,
+/// `RecvTable` depths). The trace observes map iteration order directly,
+/// so a `HashMap` regression in those structures shows up here as a byte
+/// diff between same-seed runs.
 fn rocenet_seeded_trace(seed: u64) -> String {
     use rocenet::aams::RecvDesc;
     use rocenet::endpoint::{Endpoint, EndpointEvent};
     use rocenet::MemPool;
     use rocenet::Message;
     use rocenet::rc::Psn;
-    use rocenet::verbs::{Access, ProtectionDomain};
 
     let mut log = Vec::new();
     let mut src = testkit::Source::record(seed, &mut log);
     let mut trace = String::new();
 
-    // Verbs half: a seeded register/deregister/write/read mix over one
-    // protection domain.
-    let mut pool = MemPool::new("host", 64 * 1024);
-    let mut pd = ProtectionDomain::new();
-    let mut live = Vec::new();
-    for step in 0..64u32 {
-        match src.int_in(0, 3) {
-            0 => {
-                let len = src.int_in(16, 512) as usize;
-                let region = pool.alloc(len).expect("pool sized for the op mix");
-                let access = if src.weighted_bool(0.5) {
-                    Access::READ_WRITE
-                } else {
-                    Access::READ_ONLY
-                };
-                live.push(pd.register(region, access));
-            }
-            1 if !live.is_empty() => {
-                let victim = live.remove(src.int_in(0, live.len() as u64 - 1) as usize);
-                pd.deregister(victim);
-            }
-            _ if !live.is_empty() => {
-                let key = live[src.int_in(0, live.len() as u64 - 1) as usize];
-                let data = vec![step as u8; src.int_in(1, 16) as usize];
-                let wrote = pd.rdma_write(&mut pool, key, 0, &data).is_ok();
-                let read = pd.rdma_read(&pool, key, 0, data.len());
-                trace.push_str(&format!("op {step}: write_ok={wrote} read={read:?}\n"));
-            }
-            _ => {}
-        }
-    }
-    trace.push_str(&format!("rkeys: {:?}\n", pd.rkeys().collect::<Vec<_>>()));
-
-    // AAMS half: split receives over a pair of endpoints, QPs created in a
-    // seeded (shuffled) order so ordered iteration is what restores
-    // determinism.
+    // Split receives over a pair of endpoints, QPs created in a seeded
+    // (shuffled) order so ordered iteration is what restores determinism.
     let mk = || {
         Endpoint::new(
             MemPool::new("host", 64 * 1024),
@@ -140,13 +105,13 @@ fn rocenet_seeded_trace(seed: u64) -> String {
 }
 
 #[test]
-fn rocenet_verbs_aams_seed_replay() {
+fn rocenet_aams_seed_replay() {
     for seed in [1u64, 0xDEAD_BEEF, u64::MAX / 7] {
         let a = rocenet_seeded_trace(seed);
         let b = rocenet_seeded_trace(seed);
         assert_eq!(
             a, b,
-            "seed {seed:#x}: verbs/AAMS trace must be byte-identical across replays"
+            "seed {seed:#x}: AAMS trace must be byte-identical across replays"
         );
         assert!(
             a.contains("recv qp="),

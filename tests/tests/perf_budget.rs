@@ -231,35 +231,65 @@ const ALLOC_BUDGET_SWEEP: u64 = 410_000;
 /// vector first touched after warm-up), nowhere near one per event.
 #[test]
 fn allocation_budget_engine_steady_state() {
-    use simkit::{Scheduler, Simulation, World};
+    use simkit::{Scheduler, ShardWorld, ShardedSim, World};
 
+    enum Ev {
+        Timer(u64),
+        /// Barrier operation: warm-up is over, take the baseline sample.
+        Warm,
+        End,
+    }
     struct Timers {
         handled: u64,
+        /// `(handled, allocations)` on this thread when warm-up ended.
+        warm: (u64, u64),
     }
     impl World for Timers {
-        type Event = u64;
-        fn handle(&mut self, ev: u64, sched: &mut Scheduler<u64>) {
-            self.handled += 1;
-            // Weyl-sequence delays from ~1 ns to ~100 µs: every level of
-            // the wheel stays in play, deterministically.
-            let delay = 1_000 + (ev.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 100_000_000;
-            sched.schedule_in(Time::from_ps(delay), ev.wrapping_add(1));
+        type Event = Ev;
+        fn handle(&mut self, ev: Ev, sched: &mut Scheduler<Ev>) {
+            match ev {
+                Ev::Timer(k) => {
+                    self.handled += 1;
+                    // Weyl-sequence delays from ~1 ns to ~100 µs: every
+                    // level of the wheel stays in play, deterministically.
+                    let delay = 1_000 + (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 100_000_000;
+                    sched.schedule_in(Time::from_ps(delay), Ev::Timer(k.wrapping_add(1)));
+                }
+                Ev::Warm => {}
+                Ev::End => sched.stop(),
+            }
+        }
+    }
+    impl ShardWorld for Timers {
+        fn handle_global(shards: &mut [&mut Self], _: Time, _: Ev) {
+            shards[0].warm = (shards[0].handled, TL_ALLOCS.with(Cell::get));
         }
     }
 
-    let mut sim = Simulation::new(Timers { handled: 0 });
+    // One inline shard: the whole run stays on this thread, where the
+    // allocation counter lives.
+    let timers = Timers {
+        handled: 0,
+        warm: (0, 0),
+    };
+    let mut sim = ShardedSim::new(vec![timers], Time::MAX).with_threads(1);
     for t in 0..64u64 {
-        sim.schedule_at(Time::from_ps(t * 977 + 1), t * 131);
+        sim.schedule_at(0, Time::from_ps(t * 977 + 1), Ev::Timer(t * 131));
     }
-    // Warm-up: grow slot vectors and heaps to working capacity.
-    sim.run_until(Time::from_ms(2.0));
-    let warm = sim.world().handled;
+    // Warm-up to 2 ms grows slot vectors and heaps to working capacity;
+    // the steady phase runs on to 40 ms.
+    sim.schedule_global(Time::from_ms(2.0), Ev::Warm);
+    sim.schedule_at(0, Time::from_ms(40.0), Ev::End);
+    sim.run();
+    let end_allocs = TL_ALLOCS.with(Cell::get);
+    let timers = sim.into_worlds().remove(0);
+    let (warm, warm_allocs) = timers.warm;
     assert!(warm > 1_000, "warm-up handled {warm}");
-    let (allocs, ()) = count_allocs(|| sim.run_until(Time::from_ms(40.0)));
-    let steady = sim.world().handled - warm;
+    let allocs = end_allocs - warm_allocs;
+    let steady = timers.handled - warm;
     println!("alloc/engine: allocs={allocs} steady_events={steady}");
     assert!(steady > 20_000, "steady phase handled {steady}");
-    // Recorded: 440 (0.009/event) — individual slot vectors still grow
+    // Recorded: 439 (0.009/event) — individual slot vectors still grow
     // when a slot index first sees a deeper occupancy than its history;
     // that is bounded by the slot count times log(max occupancy), not by
     // the event count.
