@@ -43,6 +43,6 @@ mod server;
 pub use chunk::{ChunkStore, CompactionStats, Snapshot, StoredBlock};
 pub use header::{crc32, Header, HeaderError, Op, HEADER_LEN};
 pub use mapping::{BlockAddr, VdLayout};
-pub use replica::{QuorumTracker, ReplicaSelector};
+pub use replica::{QuorumTracker, ReplicaSelector, ReplicaSet, MAX_REPLICAS};
 pub use scrub::{ScrubFinding, ScrubReason, ScrubStats, Scrubber};
 pub use server::{ChunkKey, DiskModel, ServerId, StorageServer};

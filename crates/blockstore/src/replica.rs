@@ -7,6 +7,47 @@
 
 use crate::server::ServerId;
 use std::collections::BTreeMap;
+use std::ops::Deref;
+
+/// Most servers one placement (or one write quorum) can name.
+pub const MAX_REPLICAS: usize = 6;
+
+/// Up to [`MAX_REPLICAS`] distinct servers, in placement order, held
+/// inline so choosing a placement allocates nothing.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ReplicaSet {
+    ids: [ServerId; MAX_REPLICAS],
+    len: u8,
+}
+
+impl ReplicaSet {
+    const EMPTY: ReplicaSet = ReplicaSet {
+        ids: [ServerId(0); MAX_REPLICAS],
+        len: 0,
+    };
+
+    fn push(&mut self, id: ServerId) {
+        self.ids[self.len as usize] = id;
+        self.len += 1;
+    }
+}
+
+impl Deref for ReplicaSet {
+    type Target = [ServerId];
+
+    fn deref(&self) -> &[ServerId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a ReplicaSet {
+    type Item = &'a ServerId;
+    type IntoIter = std::slice::Iter<'a, ServerId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Chooses replica sets over a set of storage servers, skipping failed ones
 /// and balancing load (appends outstanding per server).
@@ -68,19 +109,30 @@ impl ReplicaSelector {
     /// least-loaded (fewest placements so far, deterministic tie-break by
     /// id). Returns `None` when fewer than `k` healthy servers exist —
     /// the write must stall rather than under-replicate.
-    pub fn choose(&mut self, k: usize) -> Option<Vec<ServerId>> {
-        let mut candidates: Vec<usize> = (0..self.servers.len())
-            .filter(|&i| self.healthy[i])
-            .collect();
-        if candidates.len() < k {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` exceeds [`MAX_REPLICAS`].
+    pub fn choose(&mut self, k: usize) -> Option<ReplicaSet> {
+        assert!(k <= MAX_REPLICAS, "at most {MAX_REPLICAS} replicas, got {k}");
+        if self.healthy_count() < k {
             return None;
         }
-        candidates.sort_by_key(|&i| (self.placed[i], self.servers[i]));
-        let chosen: Vec<ServerId> = candidates[..k].iter().map(|&i| self.servers[i]).collect();
-        for &i in &candidates[..k] {
+        // k rounds of least-(placed, id) selection: the first k of the
+        // healthy servers sorted by that key, without sorting them.
+        let mut chosen = [0usize; MAX_REPLICAS];
+        let mut set = ReplicaSet::EMPTY;
+        for round in 0..k {
+            let best = (0..self.servers.len())
+                .filter(|&i| self.healthy[i] && !chosen[..round].contains(&i))
+                .min_by_key(|&i| (self.placed[i], self.servers[i]))?;
+            chosen[round] = best;
+            set.push(self.servers[best]);
+        }
+        for &i in &chosen[..k] {
             self.placed[i] += 1;
         }
-        Some(chosen)
+        Some(set)
     }
 }
 
@@ -96,7 +148,7 @@ pub struct QuorumTracker {
 #[derive(Debug)]
 struct Quorum {
     needed: usize,
-    acked: Vec<ServerId>,
+    acked: ReplicaSet,
 }
 
 impl QuorumTracker {
@@ -109,14 +161,16 @@ impl QuorumTracker {
     ///
     /// # Panics
     ///
-    /// Panics if the request id is already tracked or `needed` is zero.
+    /// Panics if the request id is already tracked, or `needed` is zero or
+    /// above [`MAX_REPLICAS`].
     pub fn begin(&mut self, request_id: u64, needed: usize) {
         assert!(needed > 0, "quorum of zero");
+        assert!(needed <= MAX_REPLICAS, "quorum above {MAX_REPLICAS}");
         let prev = self.pending.insert(
             request_id,
             Quorum {
                 needed,
-                acked: Vec::with_capacity(needed),
+                acked: ReplicaSet::EMPTY,
             },
         );
         assert!(prev.is_none(), "request {request_id} already tracked");
@@ -154,7 +208,7 @@ impl QuorumTracker {
     pub fn acked_servers(&self, request_id: u64) -> &[ServerId] {
         self.pending
             .get(&request_id)
-            .map(|q| q.acked.as_slice())
+            .map(|q| &*q.acked)
             .unwrap_or(&[])
     }
 

@@ -49,15 +49,22 @@ pub struct ScrubStats {
 /// The scrubbing service: tracks expected checksums and verifies replicas.
 #[derive(Debug, Default)]
 pub struct Scrubber {
-    /// (chunk, block) → CRC-32 of the stored (compressed) bytes.
-    expected: BTreeMap<(ChunkKey, u64), u32>,
-    /// (chunk, block) → servers expected to host it. Blocks recorded via
-    /// [`Scrubber::record`] have no entry and are checked on every server
-    /// (the legacy behaviour); blocks recorded via [`Scrubber::record_on`]
+    /// (chunk, block) → checksum and holders of the latest version.
+    entries: BTreeMap<(ChunkKey, u64), Entry>,
+}
+
+/// What the scrubber knows of one block.
+#[derive(Debug)]
+struct Entry {
+    /// CRC-32 of the latest version's stored (compressed) bytes.
+    crc: u32,
+    /// Servers expected to host the block. Empty for blocks recorded only
+    /// via [`Scrubber::record`], which are checked on every server (the
+    /// legacy behaviour); blocks recorded via [`Scrubber::record_on`]
     /// are only checked — and, crucially, *re-replicated* — on their
     /// holders, so a scrub of a returning server does not smear every
     /// block in the store onto it.
-    holders: BTreeMap<(ChunkKey, u64), Vec<ServerId>>,
+    holders: Vec<ServerId>,
 }
 
 impl Scrubber {
@@ -66,27 +73,31 @@ impl Scrubber {
         Self::default()
     }
 
+    /// The entry of `(chunk, block)`, its checksum set to `crc`.
+    fn entry(&mut self, chunk: ChunkKey, block: u64, crc: u32) -> &mut Entry {
+        let e = self
+            .entries
+            .entry((chunk, block))
+            .or_insert_with(|| Entry { crc, holders: Vec::new() });
+        e.crc = crc;
+        e
+    }
+
     /// Records the checksum of a block version at append time (the write
     /// path calls this alongside the replica appends).
     pub fn record(&mut self, chunk: ChunkKey, block: u64, stored: &StoredBlock) {
-        self.expected
-            .insert((chunk, block), crc32(&stored.data));
+        self.entry(chunk, block, crc32(&stored.data));
     }
 
-    /// Records the checksum of a block version *and* that `server` is one
-    /// of its holders. Holder sets union across versions: a server that
-    /// held an older version (e.g. it crashed before a rewrite) stays a
-    /// holder, so the scrub repairs it up to the latest version rather
-    /// than forgetting it. The write path calls this once per replica.
-    pub fn record_on(
-        &mut self,
-        chunk: ChunkKey,
-        block: u64,
-        server: ServerId,
-        stored: &StoredBlock,
-    ) {
-        self.record(chunk, block, stored);
-        let hs = self.holders.entry((chunk, block)).or_default();
+    /// Records a block version by its checksum `crc` (the CRC-32 of its
+    /// stored bytes, which the caller computes once per version) *and*
+    /// that `server` is one of its holders. Holder sets union across
+    /// versions: a server that held an older version (e.g. it crashed
+    /// before a rewrite) stays a holder, so the scrub repairs it up to the
+    /// latest version rather than forgetting it. The write path calls this
+    /// once per replica.
+    pub fn record_on(&mut self, chunk: ChunkKey, block: u64, server: ServerId, crc: u32) {
+        let hs = &mut self.entry(chunk, block, crc).holders;
         if !hs.contains(&server) {
             hs.push(server);
         }
@@ -94,23 +105,15 @@ impl Scrubber {
 
     /// Blocks currently tracked.
     pub fn tracked(&self) -> usize {
-        self.expected.len()
+        self.entries.len()
     }
 
     /// The recorded holder set of a block (empty = check everywhere).
     pub fn holders(&self, chunk: ChunkKey, block: u64) -> &[ServerId] {
-        self.holders
+        self.entries
             .get(&(chunk, block))
-            .map(Vec::as_slice)
+            .map(|e| e.holders.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// Whether a scrub of `server` should examine this block.
-    fn assigned_to(&self, chunk: ChunkKey, block: u64, server: ServerId) -> bool {
-        match self.holders.get(&(chunk, block)) {
-            Some(hs) => hs.contains(&server),
-            None => true,
-        }
     }
 
     /// Scrubs one server: verifies every tracked block it should host.
@@ -147,10 +150,11 @@ impl Scrubber {
     ) -> (ScrubStats, Vec<ScrubFinding>) {
         let mut stats = ScrubStats::default();
         let mut findings = Vec::new();
-        for (&(chunk, block), &want_crc) in &self.expected {
-            if !self.assigned_to(chunk, block, server.id()) {
+        for (&(chunk, block), entry) in &self.entries {
+            if !entry.holders.is_empty() && !entry.holders.contains(&server.id()) {
                 continue;
             }
+            let want_crc = entry.crc;
             let verdict = match server.fetch(chunk, block) {
                 None => Some(ScrubReason::Missing),
                 Some(stored) => {
@@ -277,8 +281,8 @@ mod tests {
         // Block 0 placed on a only; block 1 on b only.
         let s0 = block(0);
         let s1 = block(1);
-        scrub.record_on((0, 0), 0, a.id(), &s0);
-        scrub.record_on((0, 0), 1, b.id(), &s1);
+        scrub.record_on((0, 0), 0, a.id(), crc32(&s0.data));
+        scrub.record_on((0, 0), 1, b.id(), crc32(&s1.data));
         a.append((0, 0), 0, s0);
         b.append((0, 0), 1, s1);
         // Neither server is flagged for the block it does not hold.
@@ -303,8 +307,8 @@ mod tests {
                 b.set_alive(false);
             }
             let sb = block(blk as u8);
-            scrub.record_on((0, 0), blk, a.id(), &sb);
-            scrub.record_on((0, 0), blk, b.id(), &sb);
+            scrub.record_on((0, 0), blk, a.id(), crc32(&sb.data));
+            scrub.record_on((0, 0), blk, b.id(), crc32(&sb.data));
             a.append((0, 0), blk, sb.clone());
             b.append((0, 0), blk, sb);
         }
@@ -332,7 +336,7 @@ mod tests {
     fn scrub_with_rejects_wrong_checksum_repairs() {
         let mut s = StorageServer::new(ServerId(0), 1 << 20);
         let mut scrub = Scrubber::new();
-        scrub.record_on((0, 0), 0, s.id(), &block(1));
+        scrub.record_on((0, 0), 0, s.id(), crc32(&block(1).data));
         // Block is missing; the closure offers bytes with the wrong CRC.
         let (stats, _) = scrub.scrub_with(&mut s, |_, _, _| {
             Some(StoredBlock::raw(vec![9, 9, 9]))

@@ -128,7 +128,7 @@ testkit::prop! {
                         Some(chosen) => {
                             assert!(up >= k);
                             assert_eq!(chosen.len(), k);
-                            let mut uniq = chosen.clone();
+                            let mut uniq = chosen.to_vec();
                             uniq.sort();
                             uniq.dedup();
                             assert_eq!(uniq.len(), k, "duplicate replica chosen");

@@ -258,7 +258,7 @@ impl MiddleTierService for FunctionalMiddleTier {
             );
         }
         self.placement
-            .insert((parsed.segment_id, parsed.block_index), chosen);
+            .insert((parsed.segment_id, parsed.block_index), chosen.to_vec());
         // ⑤ Ack the VM.
         let ack = parsed.reply(Op::WriteAck, 0);
         self.ds.host_write(self.h_out, &ack.encode())?;

@@ -23,6 +23,7 @@ use crate::design::{Design, Driver, RunConfig};
 use crate::fabric::{Fabric, FluidKey};
 use crate::loadgen::LoadGen;
 use crate::metrics::{Metrics, ScaleStats};
+use crate::plan::{PlanId, PlanTable};
 use crate::services::{ServiceStats, Services};
 use crate::topology::Topology;
 use crate::workload::Workload;
@@ -42,7 +43,7 @@ pub use request::RetryTicket;
 pub use run::{run, run_counted_stats};
 pub use store::{ClusterShard, StoreShard};
 
-use request::InFlight;
+use request::{InFlight, StoredVersion};
 use transfer::{wake_fluid, MemGate, TopoNet, TopoPayload};
 
 /// Number of storage servers in the simulated cluster.
@@ -211,6 +212,14 @@ pub struct Cluster {
     free: Vec<u32>,
     quorum: QuorumTracker,
     scrubber: Scrubber,
+    /// Every distinct plan the run has launched, stored once.
+    plans: PlanTable,
+    /// Per pool block: the plan id of each (port, op), filled on first
+    /// launch (see `Cluster::plan_for`).
+    plan_ids: Vec<Option<PlanId>>,
+    /// Per pool block: the version its replicas append and its checksum,
+    /// built on first launch.
+    versions: Vec<Option<StoredVersion>>,
     next_req_id: u64,
     mlc: Option<MlcInjector>,
     /// Wakeup driver over every fabric key and rack link (see
@@ -311,6 +320,7 @@ impl Cluster {
             workload.set_zipf(theta);
         }
         let slots = cfg.outstanding;
+        let pool_blocks = workload.pool().len();
         let tracer = match cfg.trace {
             Some(tc) => Tracer::new(cfg.seed, tc),
             None => Tracer::off(),
@@ -338,6 +348,9 @@ impl Cluster {
             free: Vec::new(),
             quorum: QuorumTracker::new(),
             scrubber: Scrubber::new(),
+            plans: PlanTable::default(),
+            plan_ids: vec![None; pool_blocks * ports * request::PLAN_OPS],
+            versions: (0..pool_blocks).map(|_| None).collect(),
             next_req_id: 0,
             mlc: cfg.mlc.map(|(cores, delay)| MlcInjector::new(cores, delay)),
             wakes: WakeSet::new(topo.wake_count()),
@@ -607,6 +620,35 @@ mod tests {
     /// (scrub repairs included) and every snapshot.
     fn drained_state(cluster: &Cluster) -> String {
         format!("{:?}\n{:?}", cluster.metrics, cluster.snapshots)
+    }
+
+    #[test]
+    fn memoized_checksum_is_the_crc_of_what_replicas_append() {
+        // Both stored forms: the plain LZ4 block and, with data services
+        // on, the sealed container.
+        let plain = quick(Design::SmartDs { ports: 1 });
+        let sealed = plain.clone().with_services(crate::ServicesConfig::paper());
+        for cfg in [plain, sealed] {
+            let lz4 = cfg.services.is_none();
+            let (_, cluster, _) = run_counted_stats(&cfg, |_| {}, None);
+            let mut memo = std::collections::BTreeMap::new();
+            for v in cluster.versions.iter().flatten() {
+                assert_eq!(v.crc, blockstore::crc32(&v.stored.data));
+                assert_eq!(v.stored.compressed, lz4, "stored form");
+                memo.insert(&v.stored.data[..], v.crc);
+            }
+            let mut appended = 0usize;
+            for srv in &cluster.servers {
+                for (_, chunk) in srv.chunks() {
+                    for (_, sb) in chunk.snapshot().iter() {
+                        let crc = blockstore::crc32(&sb.data);
+                        assert_eq!(memo.get(&sb.data[..]), Some(&crc), "appended bytes not memoized");
+                        appended += 1;
+                    }
+                }
+            }
+            assert!(appended >= 100, "only {appended} stored blocks");
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::design::Driver;
 use crate::fabric::{res_route, FluidKey};
 use crate::plan::{
     inject_read_services, inject_write_services, read_hit_plan, read_plan,
-    write_plan_replicated, Plan, Res, Step, SVC_ENG_DEDUP,
+    write_plan_replicated, PlanId, Res, Step, SVC_ENG_DEDUP,
 };
-use blockstore::{ServerId, StoredBlock};
+use blockstore::{crc32, ReplicaSet, ServerId, StoredBlock};
 use hwmodel::CpuWork;
 use simkit::{FlowSpec, Scheduler, Time};
 use tracekit::{SegmentAccum, SpanId, StageKind, TraceId};
@@ -34,21 +34,47 @@ const PREFETCH_BIT: u64 = 1 << 63;
 #[derive(Debug)]
 pub(super) struct InFlight {
     ticket: RetryTicket,
-    plan: Plan,
+    /// The attempt's plan in the hub's [`PlanTable`](crate::plan::PlanTable).
+    plan: PlanId,
     phase: usize,
     cursor: [u16; MAX_BRANCHES],
     live: u8,
-    replicas: [u32; 6],
+    replicas: ReplicaSet,
     /// Quorum-tracker id of this attempt (fresh per retry).
     request_id: u64,
     /// The span covering the step each branch is currently blocked on.
     step_span: [SpanId; MAX_BRANCHES],
-    /// Sealed container length of this block when data services are on
-    /// (0 otherwise); what replication ships and the stored meter counts.
-    sealed_len: u32,
+    /// Length of the block's stored version (the sealed container when
+    /// data services are on, the LZ4 block otherwise): what replication
+    /// ships and the stored meter counts.
+    stored_len: u32,
     /// Read served from the middle-tier hot-block cache (services only).
     cache_hit: bool,
 }
+
+/// The version every replica of one pool block appends, with its CRC-32.
+/// Both are fixed for the whole run (the compressed and sealed forms are
+/// memoized per pool block), so the hub builds them on the block's first
+/// launch and every replica, retry and fail-over redirect reuses them.
+#[derive(Clone, Debug)]
+pub(super) struct StoredVersion {
+    pub(super) stored: StoredBlock,
+    pub(super) crc: u32,
+}
+
+/// Which plan a launch runs. With the run's design, replication factor and
+/// services config fixed, this plus the pool block and the port picks the
+/// plan.
+#[derive(Copy, Clone, Debug)]
+enum PlanOp {
+    Write,
+    ReadMiss,
+    ReadHit,
+}
+
+/// Number of [`PlanOp`]s: the plan index holds this many ids per pool
+/// block and port.
+pub(super) const PLAN_OPS: usize = 3;
 
 /// The logical request every attempt shares, and everything needed to
 /// re-issue a timed-out request after its backoff: the *same* payload
@@ -171,7 +197,7 @@ impl Cluster {
                 let Some(req) = self.reqs[key as usize].as_mut() else {
                     return; // request already completed (stale token)
                 };
-                let steps = &req.plan.phases[req.phase].branches[branch as usize];
+                let steps = self.plans.branch(req.plan, req.phase, branch as usize);
                 let idx = req.cursor[branch as usize] as usize;
                 if idx >= steps.len() {
                     // Branch done.
@@ -181,12 +207,12 @@ impl Cluster {
                     }
                     // Phase done → next phase or request completion.
                     req.phase += 1;
-                    if req.phase >= req.plan.phases.len() {
+                    if req.phase >= self.plans.phase_count(req.plan) {
                         self.complete_request(key, sched);
                         return;
                     }
                     req.cursor = [0; MAX_BRANCHES];
-                    let n = req.plan.phases[req.phase].branches.len();
+                    let n = self.plans.branch_count(req.plan, req.phase);
                     assert!(n <= MAX_BRANCHES, "too many parallel branches");
                     req.live = n as u8;
                     for b in 0..n as u8 {
@@ -291,15 +317,14 @@ impl Cluster {
                         bytes as u64,
                         now,
                     );
-                    let stored = self.stored_block(pool_idx, b);
+                    let StoredVersion { stored, crc } = self.stored_version(pool_idx, b).clone();
                     // Record the placement *intent*, not just the landed
                     // append: if the server is down right now, it stays on
                     // the holder list, and the post-restart scrub
                     // re-replicates the version it missed.
-                    self.scrubber
-                        .record_on(chunk_key, block, ServerId(server), &stored);
+                    self.scrubber.record_on(chunk_key, block, server, crc);
                     let payload = StorePayload { chunk_key, block, stored };
-                    let msg = StoreMsg::new(server, tok, bytes, class, Some(payload));
+                    let msg = StoreMsg::new(server.0, tok, bytes, class, Some(payload));
                     self.send_store(msg, sched);
                     return;
                 }
@@ -308,7 +333,7 @@ impl Cluster {
                         let Some(req) = self.reqs[key as usize].as_ref() else {
                             return;
                         };
-                        (req.replicas[0], req.ticket.class)
+                        (req.replicas[0].0, req.ticket.class)
                     };
                     self.open_step_span(
                         key,
@@ -371,20 +396,57 @@ impl Cluster {
         self.pump(sched);
     }
 
-    /// The functional bytes a replica appends for pool block `pool_idx`:
-    /// the sealed service container (dedup + LZ4 + XTS) when data services
-    /// are on, the plain LZ4-compressed block otherwise. Both forms are
-    /// memoized per pool block, so retries and fail-over redirects ship
-    /// byte-identical data.
-    fn stored_block(&mut self, pool_idx: usize, b: u32) -> StoredBlock {
-        match self.services.as_mut() {
-            Some(svc) => {
-                let (container, _) =
-                    svc.sealed_block(pool_idx, self.workload.payload(pool_idx));
-                StoredBlock::raw(container)
-            }
-            None => StoredBlock::lz4(self.workload.compressed(pool_idx), b),
+    /// The version a replica appends for pool block `pool_idx` of `b`
+    /// bytes, built on the block's first launch: the sealed service
+    /// container (dedup + LZ4 + XTS) when data services are on, the plain
+    /// LZ4-compressed block otherwise, and the CRC-32 the scrubber keeps.
+    /// Retries and fail-over redirects ship byte-identical data.
+    fn stored_version(&mut self, pool_idx: usize, b: u32) -> &StoredVersion {
+        self.versions[pool_idx].get_or_insert_with(|| {
+            let stored = match self.services.as_mut() {
+                Some(svc) => {
+                    StoredBlock::raw(svc.sealed_block(pool_idx, self.workload.payload(pool_idx)).0)
+                }
+                None => StoredBlock::lz4(self.workload.compressed(pool_idx), b),
+            };
+            let crc = crc32(&stored.data);
+            StoredVersion { stored, crc }
+        })
+    }
+
+    /// The plan pool block `pool_idx` runs for `op` on `port`, interned on
+    /// first use. `c` is the block's stored length. Every input to the
+    /// builders is fixed per (pool block, port, op) for the whole run, so
+    /// the lookup is a direct index; equal plans of other blocks share one
+    /// table entry.
+    fn plan_for(&mut self, pool_idx: usize, port: u8, op: PlanOp, b: u32, c: u32) -> PlanId {
+        let slot = (pool_idx * self.cfg.design.ports() + port as usize) * PLAN_OPS + op as usize;
+        if let Some(id) = self.plan_ids[slot] {
+            return id;
         }
+        let design = self.cfg.design;
+        let svc = self.services.as_ref();
+        let plan = match op {
+            PlanOp::Write => {
+                let rep = self.cfg.replication as u8;
+                let mut p = write_plan_replicated(design, port, b, c, rep);
+                if let Some(svc) = svc {
+                    inject_write_services(&mut p, svc.config(), b, c);
+                }
+                p
+            }
+            PlanOp::ReadMiss => {
+                let mut p = read_plan(design, port, b, c);
+                if let Some(svc) = svc {
+                    inject_read_services(&mut p, svc.config(), c, svc.cache_enabled());
+                }
+                p
+            }
+            PlanOp::ReadHit => read_hit_plan(design, port, b),
+        };
+        let id = self.plans.intern(&plan);
+        self.plan_ids[slot] = Some(id);
+        id
     }
 
     /// A storage RPC's ack landed back at the hub: account the outcome
@@ -462,8 +524,8 @@ impl Cluster {
                 if ack.redirects == 0 {
                     if let Some(alt) = self.selector.choose(1) {
                         let alt = alt[0];
-                        let stored = self.stored_block(pool_idx, b);
-                        self.scrubber.record_on(chunk_key, block, alt, &stored);
+                        let StoredVersion { stored, crc } = self.stored_version(pool_idx, b).clone();
+                        self.scrubber.record_on(chunk_key, block, alt, crc);
                         let payload = StorePayload { chunk_key, block, stored };
                         let msg = StoreMsg::new(alt.0, ack.tok, ack.bytes, ack.class, Some(payload));
                         self.send_store(StoreMsg { redirects: 1, ..msg }, sched);
@@ -519,7 +581,7 @@ impl Cluster {
                 // sequential prefetcher over already-written neighbours.
                 let targets = match self.services.as_mut() {
                     Some(svc) if svc.cache_enabled() => {
-                        svc.cache_fill(block_key, req.sealed_len, false);
+                        svc.cache_fill(block_key, req.stored_len, false);
                         svc.prefetch_targets(block_key)
                     }
                     _ => Vec::new(),
@@ -538,17 +600,13 @@ impl Cluster {
             seg.flush_into(&mut self.metrics.breakdown);
             self.metrics.write_latency.record(latency);
             self.metrics.ingest.add(now, req.ticket.b as f64);
-            let c = match self.services.as_mut() {
-                Some(svc) => {
-                    // Sealed container bytes hit the disks; the write also
-                    // registers with the prefetcher and warms the cache.
-                    svc.record_write(block_key, req.replicas[0], req.ticket.pool_idx as u32);
-                    svc.cache_fill(block_key, req.sealed_len, false);
-                    req.sealed_len as usize
-                }
-                None => self.workload.compressed(req.ticket.pool_idx).len(),
-            };
-            self.metrics.stored.add(now, c as f64);
+            if let Some(svc) = self.services.as_mut() {
+                // The write also registers with the prefetcher and warms
+                // the cache.
+                svc.record_write(block_key, req.replicas[0].0, req.ticket.pool_idx as u32);
+                svc.cache_fill(block_key, req.stored_len, false);
+            }
+            self.metrics.stored.add(now, req.stored_len as f64);
         }
         self.metrics.ops.add(now, 1.0);
         self.tracer.span_close(req.ticket.root, now);
@@ -677,52 +735,27 @@ impl Cluster {
     /// timer, and injects the plan's first-phase branch tokens.
     fn spawn_attempt(
         &mut self,
-        replicas: Vec<ServerId>,
+        replicas: ReplicaSet,
         ticket: RetryTicket,
         sched: &mut Scheduler<Ev>,
     ) {
-        // The stored size — sealed container when data services are on,
+        // The stored version — sealed container when data services are on,
         // plain LZ4 otherwise — is memoized per pool block, so a retry
-        // recomputes the exact same plan as the original attempt.
-        let c = match self.services.as_mut() {
-            Some(svc) => {
-                svc.sealed_block(ticket.pool_idx, self.workload.payload(ticket.pool_idx)).1
-            }
-            None => self.workload.compressed(ticket.pool_idx).len() as u32,
-        };
+        // runs the exact same plan as the original attempt.
+        let c = self.stored_version(ticket.pool_idx, ticket.b).stored.data.len() as u32;
         let port = (ticket.slot as usize % self.cfg.design.ports()) as u8;
         let block_key = (ticket.chunk_key.0, ticket.chunk_key.1, ticket.block);
-        let mut cache_hit = false;
-        let plan = if ticket.is_read {
-            match self.services.as_mut() {
-                Some(svc) => {
-                    if svc.cache_probe(block_key) {
-                        // Cache hit: the block is served from the middle
-                        // tier's design-local memory — the storage fabric
-                        // hop, disk I/O, and decryption all disappear.
-                        cache_hit = true;
-                        read_hit_plan(self.cfg.design, port, ticket.b)
-                    } else {
-                        let mut p = read_plan(self.cfg.design, port, ticket.b, c);
-                        inject_read_services(&mut p, svc.config(), c, svc.cache_enabled());
-                        p
-                    }
-                }
-                None => read_plan(self.cfg.design, port, ticket.b, c),
-            }
-        } else {
-            let mut p = write_plan_replicated(
-                self.cfg.design,
-                port,
-                ticket.b,
-                c,
-                self.cfg.replication as u8,
-            );
-            if let Some(svc) = self.services.as_ref() {
-                inject_write_services(&mut p, svc.config(), ticket.b, c);
-            }
-            p
+        // A cache hit serves the block from the middle tier's design-local
+        // memory: the storage fabric hop, disk I/O, and decryption all
+        // disappear.
+        let cache_hit = ticket.is_read
+            && self.services.as_mut().is_some_and(|svc| svc.cache_probe(block_key));
+        let op = match (ticket.is_read, cache_hit) {
+            (false, _) => PlanOp::Write,
+            (true, false) => PlanOp::ReadMiss,
+            (true, true) => PlanOp::ReadHit,
         };
+        let plan = self.plan_for(ticket.pool_idx, port, op, ticket.b, c);
         let request_id = self.next_req_id;
         self.next_req_id += 1;
         if !ticket.is_read {
@@ -737,22 +770,18 @@ impl Cluster {
             }
         };
         let gen = self.gens[key as usize];
-        let n = plan.phases[0].branches.len();
+        let n = self.plans.branch_count(plan, 0);
         assert!(n <= MAX_BRANCHES);
-        let mut rep = [0u32; 6];
-        for (slot_r, id) in rep.iter_mut().zip(&replicas) {
-            *slot_r = id.0;
-        }
         self.reqs[key as usize] = Some(InFlight {
             ticket,
             plan,
             phase: 0,
             cursor: [0; MAX_BRANCHES],
             live: n as u8,
-            replicas: rep,
+            replicas,
             request_id,
             step_span: [SpanId::NULL; MAX_BRANCHES],
-            sealed_len: if self.services.is_some() { c } else { 0 },
+            stored_len: c,
             cache_hit,
         });
         self.in_flight += 1;
@@ -824,10 +853,8 @@ impl Cluster {
         if !req.ticket.is_read {
             // Penalize only the replicas that stayed silent — the ones
             // that acked did their part.
-            let acked: Vec<ServerId> =
-                self.quorum.acked_servers(req.request_id).to_vec();
-            for r in 0..self.cfg.replication.min(req.replicas.len()) {
-                let id = ServerId(req.replicas[r]);
+            let acked = self.quorum.acked_servers(req.request_id);
+            for &id in &req.replicas {
                 if !acked.contains(&id) {
                     self.selector.penalize(id, TIMEOUT_PENALTY);
                 }

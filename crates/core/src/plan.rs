@@ -19,10 +19,11 @@ use hwmodel::consts::{
 };
 use hwmodel::{wire_bytes, CpuWork};
 use simkit::Time;
+use std::cmp::Ordering;
 use tracekit::StageKind;
 
 /// A shared fluid resource a step can move bytes across.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Res {
     /// Host DRAM, read direction (Fig 8a's "read BW").
     MemRead,
@@ -47,7 +48,7 @@ pub enum Res {
 }
 
 /// One step of a branch.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Step {
     /// Move `bytes` across a resource (zero bytes is a no-op).
     Xfer(Res, u32),
@@ -86,7 +87,7 @@ pub enum Step {
 }
 
 /// A join-all set of parallel branches.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Phase {
     /// Parallel branches; the phase completes when all complete.
     pub branches: Vec<Vec<Step>>,
@@ -107,7 +108,7 @@ impl Phase {
 }
 
 /// A request's complete dataflow program.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Plan {
     /// Ordered phases.
     pub phases: Vec<Phase>,
@@ -139,6 +140,100 @@ impl Plan {
                 _ => 0,
             })
             .sum()
+    }
+}
+
+/// Index of a plan interned in a [`PlanTable`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PlanId(u32);
+
+/// Every distinct plan of a run, each stored once in flat form: one step
+/// array plus offset ranges per branch, per phase and per plan. A request
+/// in flight holds a [`PlanId`] and walks slices of the table, so
+/// launching it builds nothing and completing it frees nothing.
+///
+/// The builders above stay the source of truth: a plan enters the table
+/// the first time its inputs are seen, and an equal plan built from other
+/// inputs (another pool block of the same compressed size, say) maps to
+/// the id already stored.
+#[derive(Debug, Default)]
+pub struct PlanTable {
+    /// Every branch's steps, back to back.
+    steps: Vec<Step>,
+    /// Per branch: its `[start, end)` in `steps`.
+    branches: Vec<(u32, u32)>,
+    /// Per phase: its `[start, end)` in `branches`.
+    phases: Vec<(u32, u32)>,
+    /// Per plan: its `[start, end)` in `phases`.
+    plans: Vec<(u32, u32)>,
+    /// Every id, sorted by plan content: interning finds an equal plan by
+    /// binary search over the flat form, so no plan is stored twice.
+    sorted: Vec<PlanId>,
+}
+
+impl PlanTable {
+    /// Stores `plan` unless an equal plan is already stored; returns the
+    /// id of the stored copy.
+    pub fn intern(&mut self, plan: &Plan) -> PlanId {
+        let at = match self.sorted.binary_search_by(|&id| self.cmp_stored(id, plan)) {
+            Ok(i) => return self.sorted[i],
+            Err(i) => i,
+        };
+        let id = PlanId(self.plans.len() as u32);
+        let first_phase = self.phases.len() as u32;
+        for phase in &plan.phases {
+            let first_branch = self.branches.len() as u32;
+            for branch in &phase.branches {
+                let start = self.steps.len() as u32;
+                self.steps.extend_from_slice(branch);
+                self.branches.push((start, self.steps.len() as u32));
+            }
+            self.phases.push((first_branch, self.branches.len() as u32));
+        }
+        self.plans.push((first_phase, self.phases.len() as u32));
+        self.sorted.insert(at, id);
+        id
+    }
+
+    /// Orders stored plan `id` against `plan`: by phase count, then phase
+    /// by phase by branch count, then branch by branch by steps.
+    fn cmp_stored(&self, id: PlanId, plan: &Plan) -> Ordering {
+        let ord = self.phase_count(id).cmp(&plan.phases.len());
+        if ord.is_ne() {
+            return ord;
+        }
+        for (p, phase) in plan.phases.iter().enumerate() {
+            let ord = self.branch_count(id, p).cmp(&phase.branches.len());
+            if ord.is_ne() {
+                return ord;
+            }
+            for (b, steps) in phase.branches.iter().enumerate() {
+                let ord = self.branch(id, p, b).cmp(steps);
+                if ord.is_ne() {
+                    return ord;
+                }
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Number of phases of plan `id`.
+    pub fn phase_count(&self, id: PlanId) -> usize {
+        let (start, end) = self.plans[id.0 as usize];
+        (end - start) as usize
+    }
+
+    /// Number of parallel branches in phase `phase` of plan `id`.
+    pub fn branch_count(&self, id: PlanId, phase: usize) -> usize {
+        let (start, end) = self.phases[self.plans[id.0 as usize].0 as usize + phase];
+        (end - start) as usize
+    }
+
+    /// The steps of branch `branch` in phase `phase` of plan `id`.
+    pub fn branch(&self, id: PlanId, phase: usize, branch: usize) -> &[Step] {
+        let first_branch = self.phases[self.plans[id.0 as usize].0 as usize + phase].0;
+        let (start, end) = self.branches[first_branch as usize + branch];
+        &self.steps[start as usize..end as usize]
     }
 }
 

@@ -100,7 +100,7 @@ impl CompressEngine {
 }
 
 /// What a CPU job is doing (service times differ per kind).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CpuWork {
     /// Parse a block-storage header and decide placement/compression.
     ParseHeader,

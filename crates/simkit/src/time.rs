@@ -109,45 +109,6 @@ impl Time {
         Time(ps_from_f64_saturating((s * PS_PER_SEC_F64).round()))
     }
 
-    /// Checked nanosecond conversion: `None` for NaN, infinite, or negative
-    /// inputs, and for values that would overflow into the [`Time::MAX`]
-    /// "never" sentinel. The release-mode-silent failure modes of
-    /// [`Time::from_ns`] all surface here.
-    #[inline]
-    pub fn from_ns_checked(ns: f64) -> Option<Self> {
-        Self::checked_scale(ns, PS_PER_NS_F64)
-    }
-
-    /// Checked microsecond conversion; see [`Time::from_ns_checked`].
-    #[inline]
-    pub fn from_us_checked(us: f64) -> Option<Self> {
-        Self::checked_scale(us, PS_PER_US_F64)
-    }
-
-    /// Checked millisecond conversion; see [`Time::from_ns_checked`].
-    #[inline]
-    pub fn from_ms_checked(ms: f64) -> Option<Self> {
-        Self::checked_scale(ms, PS_PER_MS_F64)
-    }
-
-    /// Checked second conversion; see [`Time::from_ns_checked`].
-    #[inline]
-    pub fn from_secs_checked(s: f64) -> Option<Self> {
-        Self::checked_scale(s, PS_PER_SEC_F64)
-    }
-
-    #[inline]
-    fn checked_scale(value: f64, scale: f64) -> Option<Self> {
-        if !value.is_finite() || value < 0.0 {
-            return None;
-        }
-        let ps = (value * scale).round();
-        if ps >= ps_to_f64(u64::MAX) {
-            return None;
-        }
-        Some(Time(ps_from_f64_saturating(ps)))
-    }
-
     /// Creates a time from seconds, rounding *up* to the next picosecond
     /// and saturating to [`Time::MAX`]. This is the wakeup-scheduling
     /// direction: a completion instant must never be scheduled before the
@@ -389,19 +350,6 @@ mod tests {
         assert_eq!(PS_PER_US_F64, ps_to_f64(PS_PER_US));
         assert_eq!(PS_PER_MS_F64, ps_to_f64(PS_PER_MS));
         assert_eq!(PS_PER_SEC_F64, ps_to_f64(PS_PER_SEC));
-    }
-
-    #[test]
-    fn checked_constructors_reject_bad_inputs() {
-        assert_eq!(Time::from_ns_checked(1.5), Some(Time::from_ps(1_500)));
-        assert_eq!(Time::from_us_checked(2.0), Some(Time::from_ps(2_000_000)));
-        assert_eq!(Time::from_ms_checked(0.5), Some(Time::from_ps(500_000_000)));
-        assert_eq!(Time::from_secs_checked(1.0), Some(Time::from_secs(1.0)));
-        assert_eq!(Time::from_ns_checked(f64::NAN), None);
-        assert_eq!(Time::from_ns_checked(f64::INFINITY), None);
-        assert_eq!(Time::from_ns_checked(-1.0), None);
-        // Overflow into the MAX sentinel must be rejected, not clamped.
-        assert_eq!(Time::from_secs_checked(1e30), None);
     }
 
     #[test]

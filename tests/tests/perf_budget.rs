@@ -208,11 +208,12 @@ fn allocation_budget_sweep_seed_101() {
         "alloc/101: allocs={allocs} events={} allocs/event={per_event:.3}",
         stats.events
     );
-    // Recorded: allocs=330_319 (0.93/event) — the engine itself (wheel,
-    // mailboxes, windows) is allocation-free in steady state; what
-    // remains is model work that owns real buffers (an LZ4 output and a
-    // stored-block copy per replica, request bookkeeping). The ceiling
-    // carries ~25 % headroom.
+    // Recorded: allocs=52_740 (0.148/event) — the engine itself (wheel,
+    // mailboxes, windows) is allocation-free in steady state, and so is
+    // launching a request (plans live in the hub's plan table, replica
+    // sets and quorums inline); what remains is model work that owns
+    // real buffers (an LZ4 output per distinct block, a boxed payload per
+    // replica RPC, map nodes). The ceiling carries ~25 % headroom.
     assert!(
         allocs <= ALLOC_BUDGET_SWEEP,
         "{allocs} heap allocations, budget {ALLOC_BUDGET_SWEEP} — a hot path \
@@ -221,7 +222,7 @@ fn allocation_budget_sweep_seed_101() {
 }
 
 /// Ceiling for [`allocation_budget_sweep_seed_101`].
-const ALLOC_BUDGET_SWEEP: u64 = 410_000;
+const ALLOC_BUDGET_SWEEP: u64 = 66_000;
 
 /// The bare engine in steady state: once the timer wheel's slot vectors
 /// and the active heap have grown to working capacity, pushing and
