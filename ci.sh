@@ -109,3 +109,11 @@ timeout -k 30 1800 cargo run -q -p smartds-bench --release --offline --bin exper
 # timings it prints are report-only here.
 timeout -k 30 1800 cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
     --workload all --seed 7 --seconds 1 --trace 0
+
+# Traced per-layer smoke: one short repetition of every workload with the
+# per-layer counters on (`--trace 1`), so the layer ledger perf changes
+# quote (engine.ns_per_event, engine.sync_rounds, fluid.epochs, …) stays
+# runnable. Report-only like the run above; a failed check still exits
+# non-zero.
+timeout -k 30 1800 cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 7 --seconds 1 --trace 1

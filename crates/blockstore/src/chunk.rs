@@ -141,18 +141,19 @@ impl ChunkStore {
     /// Appends a new version of `block`. Returns `true` when the write count
     /// has reached the compaction threshold (the maintenance service should
     /// schedule a compaction).
+    #[inline]
     pub fn append(&mut self, block: u64, payload: StoredBlock) -> bool {
         let sz = payload.data.len() as u64;
-        if let Some(&old) = self.index.get(&block) {
-            self.log[old].live = false;
-            self.live_bytes -= self.log[old].payload.data.len() as u64;
-        }
         self.log.push(LogEntry {
             block,
             payload,
             live: true,
         });
-        self.index.insert(block, self.log.len() - 1);
+        // One index descent: the insert hands back the superseded position.
+        if let Some(old) = self.index.insert(block, self.log.len() - 1) {
+            self.log[old].live = false;
+            self.live_bytes -= self.log[old].payload.data.len() as u64;
+        }
         self.stored_bytes += sz;
         self.live_bytes += sz;
         self.writes += 1;

@@ -10,8 +10,8 @@
 //!   garbage collection, and snapshots (the maintenance services of §2.2.3).
 //! * [`StorageServer`] + [`DiskModel`] — storage nodes with NVMe-class
 //!   timing and fail-over switches.
-//! * [`ReplicaSelector`] + [`QuorumTracker`] — three-way replica placement
-//!   and all-ack write quorums (§2.2.1).
+//! * [`ReplicaSelector`] + [`Quorum`] — three-way replica placement and
+//!   all-ack write quorums (§2.2.1).
 //! * [`Scrubber`] — the periodical data-scrubbing service (§2.1): checksum
 //!   verification and repair from healthy replicas.
 //!
@@ -43,6 +43,6 @@ mod server;
 pub use chunk::{ChunkStore, CompactionStats, Snapshot, StoredBlock};
 pub use header::{crc32, Header, HeaderError, Op, HEADER_LEN};
 pub use mapping::{BlockAddr, VdLayout};
-pub use replica::{QuorumTracker, ReplicaSelector, ReplicaSet, MAX_REPLICAS};
+pub use replica::{Quorum, ReplicaSelector, ReplicaSet, MAX_REPLICAS};
 pub use scrub::{ScrubFinding, ScrubReason, ScrubStats, Scrubber};
 pub use server::{ChunkKey, DiskModel, ServerId, StorageServer};

@@ -6,7 +6,6 @@
 //! chosen servers acknowledge before acking the VM.
 
 use crate::server::ServerId;
-use std::collections::BTreeMap;
 use std::ops::Deref;
 
 /// Most servers one placement (or one write quorum) can name.
@@ -136,85 +135,75 @@ impl ReplicaSelector {
     }
 }
 
-/// Tracks outstanding acknowledgements for in-flight replicated writes.
+/// The write quorum of one in-flight write attempt, held inline in the
+/// attempt's own slot: how many distinct servers must ack, and which did.
 ///
-/// Ordered map so any timeout/abort sweep over outstanding requests runs
-/// in request-id order, independent of hasher randomization.
-#[derive(Debug, Default)]
-pub struct QuorumTracker {
-    pending: BTreeMap<u64, Quorum>,
-}
-
-#[derive(Debug)]
-struct Quorum {
-    needed: usize,
+/// A quorum *closes* when it completes or is aborted. A closed quorum
+/// ignores acks and reports no acked servers, so a late ack — a slow
+/// replica answering after the write gave up, or after a fail-over
+/// already completed it — is a no-op, never a second completion. The
+/// slot's owner must still keep an ack minted for an *earlier* attempt
+/// in the same slot away from this one (the cluster tags every RPC with
+/// the slot's generation and drops stale acks before they reach here).
+#[derive(Copy, Clone, Debug)]
+pub struct Quorum {
+    /// Distinct acks the write needs; zero once closed.
+    needed: u8,
     acked: ReplicaSet,
 }
 
-impl QuorumTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl Quorum {
+    /// A closed quorum: what a read, which waits for no acks, carries.
+    pub const CLOSED: Quorum = Quorum {
+        needed: 0,
+        acked: ReplicaSet::EMPTY,
+    };
 
-    /// Begins tracking `request_id`, requiring `needed` acks.
+    /// An open quorum requiring `needed` distinct acks.
     ///
     /// # Panics
     ///
-    /// Panics if the request id is already tracked, or `needed` is zero or
-    /// above [`MAX_REPLICAS`].
-    pub fn begin(&mut self, request_id: u64, needed: usize) {
+    /// Panics if `needed` is zero or above [`MAX_REPLICAS`].
+    pub fn open(needed: usize) -> Self {
         assert!(needed > 0, "quorum of zero");
         assert!(needed <= MAX_REPLICAS, "quorum above {MAX_REPLICAS}");
-        let prev = self.pending.insert(
-            request_id,
-            Quorum {
-                needed,
-                acked: ReplicaSet::EMPTY,
-            },
-        );
-        assert!(prev.is_none(), "request {request_id} already tracked");
+        Quorum {
+            needed: needed as u8,
+            acked: ReplicaSet::EMPTY,
+        }
     }
 
     /// Records an ack from `server`. Returns `true` when the quorum is now
-    /// complete (and forgets the request). Duplicate acks are ignored, and
-    /// an ack for an unknown request is a no-op returning `false`: with
-    /// timeouts in the write path, a slow replica's ack can legitimately
-    /// arrive after [`QuorumTracker::abort`] already gave up on (or a
-    /// failover already completed) the request.
-    pub fn ack(&mut self, request_id: u64, server: ServerId) -> bool {
-        let Some(q) = self.pending.get_mut(&request_id) else {
+    /// complete, and closes it. Duplicate acks never count twice, and an
+    /// ack on a closed quorum is a no-op returning `false`.
+    #[inline]
+    pub fn ack(&mut self, server: ServerId) -> bool {
+        if self.needed == 0 {
             return false;
-        };
-        if !q.acked.contains(&server) {
-            q.acked.push(server);
         }
-        if q.acked.len() >= q.needed {
-            self.pending.remove(&request_id);
+        if !self.acked.contains(&server) {
+            self.acked.push(server);
+        }
+        if self.acked.len() >= self.needed as usize {
+            *self = Quorum::CLOSED;
             true
         } else {
             false
         }
     }
 
-    /// Abandons a request (e.g. fail-over re-replication restarted it).
-    pub fn abort(&mut self, request_id: u64) -> bool {
-        self.pending.remove(&request_id).is_some()
+    /// Abandons the quorum. Returns whether it was still open.
+    #[inline]
+    pub fn abort(&mut self) -> bool {
+        let open = self.needed > 0;
+        *self = Quorum::CLOSED;
+        open
     }
 
-    /// The servers that acked `request_id` so far (empty if untracked).
-    /// The timeout path uses this to penalize only the replicas that
-    /// stayed silent, not the ones that answered.
-    pub fn acked_servers(&self, request_id: u64) -> &[ServerId] {
-        self.pending
-            .get(&request_id)
-            .map(|q| &*q.acked)
-            .unwrap_or(&[])
-    }
-
-    /// Requests still waiting for acks.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
+    /// The servers that acked so far; empty once closed. The timeout path
+    /// uses this to penalize only the replicas that stayed silent.
+    pub fn acked_servers(&self) -> &[ServerId] {
+        &self.acked
     }
 }
 
@@ -259,37 +248,42 @@ mod tests {
 
     #[test]
     fn quorum_completes_on_all_acks() {
-        let mut q = QuorumTracker::new();
-        q.begin(9, 3);
-        assert!(!q.ack(9, ServerId(0)));
-        assert!(!q.ack(9, ServerId(1)));
+        let mut q = Quorum::open(3);
+        assert!(!q.ack(ServerId(0)));
+        assert!(!q.ack(ServerId(1)));
         // Duplicate ack does not complete the quorum.
-        assert!(!q.ack(9, ServerId(1)));
-        assert!(q.ack(9, ServerId(2)));
-        assert_eq!(q.outstanding(), 0);
+        assert!(!q.ack(ServerId(1)));
+        assert_eq!(q.acked_servers(), &[ServerId(0), ServerId(1)]);
+        assert!(q.ack(ServerId(2)));
+        // Completion closes it: nothing left to abort.
+        assert!(!q.abort());
     }
 
     #[test]
     fn abort_forgets_request() {
-        let mut q = QuorumTracker::new();
-        q.begin(5, 3);
-        assert!(q.abort(5));
-        assert!(!q.abort(5));
-        assert_eq!(q.outstanding(), 0);
+        let mut q = Quorum::open(3);
+        assert!(!q.ack(ServerId(4)));
+        assert!(q.abort());
+        assert!(!q.abort());
+        assert!(q.acked_servers().is_empty());
     }
 
     #[test]
     fn late_acks_are_noops() {
-        let mut q = QuorumTracker::new();
-        q.begin(1, 1);
-        assert!(q.ack(1, ServerId(0)));
-        // Ack after completion: the request is gone, nothing re-completes.
-        assert!(!q.ack(1, ServerId(1)));
+        let mut q = Quorum::open(1);
+        assert!(q.ack(ServerId(0)));
+        // Ack after completion: the quorum is closed, nothing re-completes.
+        assert!(!q.ack(ServerId(1)));
+        assert!(q.acked_servers().is_empty());
         // Ack after abort: same story.
-        q.begin(2, 2);
-        assert!(q.abort(2));
-        assert!(!q.ack(2, ServerId(0)));
-        assert_eq!(q.outstanding(), 0);
+        let mut q = Quorum::open(2);
+        assert!(q.abort());
+        assert!(!q.ack(ServerId(0)));
+        assert!(!q.ack(ServerId(1)));
+        // And a read's closed quorum never opens.
+        let mut read = Quorum::CLOSED;
+        assert!(!read.ack(ServerId(0)));
+        assert!(!read.abort());
     }
 
     #[test]

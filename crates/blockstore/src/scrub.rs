@@ -64,7 +64,40 @@ struct Entry {
     /// are only checked — and, crucially, *re-replicated* — on their
     /// holders, so a scrub of a returning server does not smear every
     /// block in the store onto it.
-    holders: Vec<ServerId>,
+    holders: Holders,
+}
+
+/// A block's holder set, inline: one bit per server id below 64, so
+/// recording a replica allocates nothing and the entry stays small (the
+/// scrubber keeps one per block ever written). Only ids from 64 up spill
+/// to a list.
+#[derive(Debug, Default)]
+struct Holders {
+    mask: u64,
+    spill: Vec<ServerId>,
+}
+
+impl Holders {
+    fn is_empty(&self) -> bool {
+        self.mask == 0 && self.spill.is_empty()
+    }
+
+    fn contains(&self, id: ServerId) -> bool {
+        match 1u64.checked_shl(id.0) {
+            Some(bit) => self.mask & bit != 0,
+            None => self.spill.contains(&id),
+        }
+    }
+
+    /// Adds `id` unless already present.
+    fn insert(&mut self, id: ServerId) {
+        match 1u64.checked_shl(id.0) {
+            Some(bit) => self.mask |= bit,
+            None if !self.spill.contains(&id) => self.spill.push(id),
+            None => {}
+        }
+    }
+
 }
 
 impl Scrubber {
@@ -78,7 +111,10 @@ impl Scrubber {
         let e = self
             .entries
             .entry((chunk, block))
-            .or_insert_with(|| Entry { crc, holders: Vec::new() });
+            .or_insert_with(|| Entry {
+                crc,
+                holders: Holders::default(),
+            });
         e.crc = crc;
         e
     }
@@ -96,11 +132,9 @@ impl Scrubber {
     /// before a rewrite) stays a holder, so the scrub repairs it up to the
     /// latest version rather than forgetting it. The write path calls this
     /// once per replica.
+    #[inline]
     pub fn record_on(&mut self, chunk: ChunkKey, block: u64, server: ServerId, crc: u32) {
-        let hs = &mut self.entry(chunk, block, crc).holders;
-        if !hs.contains(&server) {
-            hs.push(server);
-        }
+        self.entry(chunk, block, crc).holders.insert(server);
     }
 
     /// Blocks currently tracked.
@@ -108,12 +142,14 @@ impl Scrubber {
         self.entries.len()
     }
 
-    /// The recorded holder set of a block (empty = check everywhere).
-    pub fn holders(&self, chunk: ChunkKey, block: u64) -> &[ServerId] {
-        self.entries
-            .get(&(chunk, block))
-            .map(|e| e.holders.as_slice())
-            .unwrap_or(&[])
+    /// The recorded holder set of a block (empty = check everywhere): ids
+    /// below 64 ascending, then the rest in recording order.
+    pub fn holders(&self, chunk: ChunkKey, block: u64) -> Vec<ServerId> {
+        let Some(e) = self.entries.get(&(chunk, block)) else {
+            return Vec::new();
+        };
+        let low = (0..64).filter(|i| e.holders.mask >> i & 1 != 0);
+        low.map(ServerId).chain(e.holders.spill.iter().copied()).collect()
     }
 
     /// Scrubs one server: verifies every tracked block it should host.
@@ -151,7 +187,7 @@ impl Scrubber {
         let mut stats = ScrubStats::default();
         let mut findings = Vec::new();
         for (&(chunk, block), entry) in &self.entries {
-            if !entry.holders.is_empty() && !entry.holders.contains(&server.id()) {
+            if !entry.holders.is_empty() && !entry.holders.contains(server.id()) {
                 continue;
             }
             let want_crc = entry.crc;
@@ -290,7 +326,35 @@ mod tests {
         let (stats_b, f_b) = scrub.scrub(&mut b, None);
         assert_eq!((stats_a.corrupt, stats_b.corrupt), (0, 0));
         assert!(f_a.is_empty() && f_b.is_empty());
-        assert_eq!(scrub.holders((0, 0), 0), &[ServerId(0)]);
+        assert_eq!(scrub.holders((0, 0), 0), vec![ServerId(0)]);
+    }
+
+    #[test]
+    fn holders_of_any_id_and_count_scope_the_scrub() {
+        // A hot block rewritten onto more distinct servers than one
+        // placement can name keeps every holder, ids from 64 up included
+        // (recorded twice each, out of order).
+        let mut scrub = Scrubber::new();
+        let crc = crc32(&block(1).data);
+        let ids: Vec<ServerId> = [70, 3, 63, 0, 64, 9, 5, 1, 2]
+            .into_iter()
+            .map(ServerId)
+            .collect();
+        for &id in ids.iter().chain(&ids) {
+            scrub.record_on((0, 0), 0, id, crc);
+        }
+        let want: Vec<ServerId> = [0, 1, 2, 3, 5, 9, 63, 70, 64]
+            .into_iter()
+            .map(ServerId)
+            .collect();
+        assert_eq!(scrub.holders((0, 0), 0), want);
+        // Holders are scrubbed (the block is missing there); non-holders
+        // are not.
+        for (id, holds) in [(63, true), (64, true), (70, true), (4, false), (65, false)] {
+            let mut s = StorageServer::new(ServerId(id), 1 << 20);
+            let corrupt = scrub.scrub(&mut s, None).0.corrupt;
+            assert_eq!(corrupt, holds as usize, "server {id}");
+        }
     }
 
     #[test]

@@ -78,11 +78,13 @@ impl DiskModel {
     }
 
     /// Submits an I/O; see [`ServerPool::submit`].
+    #[inline]
     pub fn submit(&mut self, now: Time, bytes: usize, token: u64) -> Option<JobStart> {
         self.pool.submit(now, self.service_time(bytes), token)
     }
 
     /// Completes the oldest running I/O; see [`ServerPool::complete`].
+    #[inline]
     pub fn complete(&mut self, now: Time) -> Option<JobStart> {
         self.pool.complete(now)
     }
@@ -159,6 +161,7 @@ impl StorageServer {
 
     /// Appends a block version to a chunk replica. Returns `Some(true)` if
     /// the chunk now wants compaction, `None` if the server is down.
+    #[inline]
     pub fn append(&mut self, key: ChunkKey, block: u64, payload: StoredBlock) -> Option<bool> {
         if !self.alive {
             return None;

@@ -1,30 +1,37 @@
 //! Property tests for the replication primitives the fault-handling path
-//! leans on: `QuorumTracker` under arbitrary begin/ack/abort
-//! interleavings (checked against a reference model) and
-//! `ReplicaSelector::choose` under arbitrary health flips and penalties.
+//! leans on: the in-slot write [`Quorum`] under arbitrary
+//! open/ack/abort interleavings across reused slots (checked against a
+//! reference model) and `ReplicaSelector::choose` under arbitrary health
+//! flips and penalties.
 //!
-//! These are the tests that forced `QuorumTracker::ack` to tolerate late
-//! acks: with timeouts in the write path, an ack can arrive after the
-//! request was aborted or already completed, and that must be a no-op —
-//! not a panic, and never a double completion.
+//! These are the tests that forced quorum acks to tolerate late arrivals:
+//! with timeouts in the write path, an ack can arrive after the attempt
+//! was aborted or already completed, and that must be a no-op — not a
+//! panic, and never a double completion.
 
-use blockstore::{QuorumTracker, ReplicaSelector, ServerId};
+use blockstore::{Quorum, ReplicaSelector, ServerId};
+use simkit::{Slab, SlotKey};
 use std::collections::BTreeMap;
 use testkit::gen::{self, Gen};
 use testkit::one_of;
 
 #[derive(Clone, Debug)]
 enum QuorumOp {
-    Begin { id: u8, needed: u8 },
-    Ack { id: u8, server: u8 },
-    Abort { id: u8 },
+    /// A write attempt takes a slot, needing `needed` acks.
+    Begin { needed: u8 },
+    /// An ack from `server` carrying the `pick`-th key ever minted — live,
+    /// or stale once its attempt ended and the slot moved on.
+    Ack { pick: u8, server: u8 },
+    /// The attempt under the `pick`-th minted key ends (completion or
+    /// timeout): its quorum is aborted and its slot freed.
+    Free { pick: u8 },
 }
 
 fn quorum_op_gen() -> impl Gen<Value = QuorumOp> {
     one_of![
-        (gen::u8s(0..8), gen::u8s(1..5)).map(|(id, needed)| QuorumOp::Begin { id, needed }),
-        (gen::u8s(0..8), gen::u8s(0..6)).map(|(id, server)| QuorumOp::Ack { id, server }),
-        gen::u8s(0..8).map(|id| QuorumOp::Abort { id }),
+        gen::u8s(1..5).map(|needed| QuorumOp::Begin { needed }),
+        (gen::u8s(0..=255), gen::u8s(0..6)).map(|(pick, server)| QuorumOp::Ack { pick, server }),
+        gen::u8s(0..=255).map(|pick| QuorumOp::Free { pick }),
     ]
 }
 
@@ -49,29 +56,45 @@ fn sel_op_gen() -> impl Gen<Value = SelOp> {
 testkit::prop! {
     cases = 160;
 
-    /// `QuorumTracker` against a reference model: duplicate acks never
-    /// double-count, acks after abort (or completion) are no-ops, and a
-    /// quorum completes exactly when `needed` *distinct* servers acked.
-    fn quorum_tracker_matches_model(ops in gen::vecs(quorum_op_gen(), 1..80)) {
-        let mut real = QuorumTracker::new();
-        // id → (needed, distinct servers acked so far)
-        let mut model: BTreeMap<u8, (usize, Vec<u8>)> = BTreeMap::new();
-
+    /// The in-slot quorum against a reference model, held the way the
+    /// cluster holds it: in a generational slab slot reached through the
+    /// key its RPCs carry. Duplicate acks never double-count, acks after
+    /// abort or completion are no-ops, a quorum completes exactly when
+    /// `needed` *distinct* servers acked, and an ack carrying a key from
+    /// before the slot's generation bumped never lands on the slot's next
+    /// attempt.
+    fn in_slot_quorum_matches_model(ops in gen::vecs(quorum_op_gen(), 1..80)) {
+        let mut slab: Slab<Quorum> = Slab::new();
+        let mut minted: Vec<SlotKey> = Vec::new();
+        // Live attempts → (needed, distinct servers acked); `None` once
+        // the quorum closed.
+        let mut model: BTreeMap<SlotKey, Option<(usize, Vec<ServerId>)>> = BTreeMap::new();
         for op in &ops {
             match *op {
-                QuorumOp::Begin { id, needed } => {
-                    // `begin` on a tracked id panics by contract; the model
-                    // only issues fresh ids.
-                    if model.contains_key(&id) {
-                        continue;
-                    }
-                    real.begin(u64::from(id), usize::from(needed));
-                    model.insert(id, (usize::from(needed), Vec::new()));
+                QuorumOp::Begin { needed } => {
+                    let needed = usize::from(needed);
+                    let key = slab.insert(Quorum::open(needed));
+                    // A reused slot comes back under a new generation, so
+                    // no earlier attempt's key can name this attempt.
+                    assert!(!minted.contains(&key), "{key:?} minted twice");
+                    assert!(model.insert(key, Some((needed, Vec::new()))).is_none());
+                    minted.push(key);
                 }
-                QuorumOp::Ack { id, server } => {
-                    let done = real.ack(u64::from(id), ServerId(u32::from(server)));
-                    match model.get_mut(&id) {
-                        None => assert!(!done, "ack on untracked request completed it"),
+                QuorumOp::Ack { pick, server } => {
+                    let Some(&key) = minted.get(usize::from(pick) % minted.len().max(1)) else {
+                        continue;
+                    };
+                    let Some(quorum) = slab.get_mut(key) else {
+                        assert!(!model.contains_key(&key), "a live key stopped resolving");
+                        continue; // stale: dropped before any quorum sees it
+                    };
+                    let Some(state) = model.get_mut(&key) else {
+                        panic!("stale key {key:?} reached a quorum");
+                    };
+                    let server = ServerId(u32::from(server));
+                    let done = quorum.ack(server);
+                    match state {
+                        None => assert!(!done, "ack on a closed quorum completed it"),
                         Some((needed, acked)) => {
                             if !acked.contains(&server) {
                                 acked.push(server);
@@ -79,21 +102,33 @@ testkit::prop! {
                             let expect_done = acked.len() >= *needed;
                             assert_eq!(
                                 done, expect_done,
-                                "quorum {id}: {} distinct acks of {needed}",
+                                "{key:?}: {} distinct acks of {needed}",
                                 acked.len()
                             );
                             if expect_done {
-                                model.remove(&id);
+                                *state = None;
                             }
                         }
                     }
                 }
-                QuorumOp::Abort { id } => {
-                    let was = real.abort(u64::from(id));
-                    assert_eq!(was, model.remove(&id).is_some());
+                QuorumOp::Free { pick } => {
+                    let Some(&key) = minted.get(usize::from(pick) % minted.len().max(1)) else {
+                        continue;
+                    };
+                    match (slab.remove(key), model.remove(&key)) {
+                        (Some(mut quorum), Some(state)) => {
+                            assert_eq!(quorum.abort(), state.is_some());
+                        }
+                        (None, None) => {}
+                        (got, want) => panic!("{key:?}: slab {got:?} vs model {want:?}"),
+                    }
                 }
             }
-            assert_eq!(real.outstanding(), model.len());
+            for (&key, state) in &model {
+                let want: &[ServerId] = state.as_ref().map_or(&[], |(_, acked)| acked);
+                let quorum = slab.get(key).expect("a live key resolves");
+                assert_eq!(quorum.acked_servers(), want, "acked set diverged");
+            }
         }
     }
 

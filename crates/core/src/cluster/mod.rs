@@ -27,11 +27,11 @@ use crate::plan::{PlanId, PlanTable};
 use crate::services::{ServiceStats, Services};
 use crate::topology::Topology;
 use crate::workload::Workload;
-use blockstore::{QuorumTracker, ReplicaSelector, Scrubber, ServerId, StorageServer, StoredBlock};
+use blockstore::{ReplicaSelector, Scrubber, ServerId, StorageServer, StoredBlock};
 use faultkit::FaultKind;
 use hwmodel::consts::NET_PROPAGATION;
 use hwmodel::{CompressEngine, CpuPool, MlcInjector};
-use simkit::{Scheduler, Time, WakeSet, World};
+use simkit::{Scheduler, Slab, SlotKey, Time, WakeSet, World};
 use tracekit::Tracer;
 
 mod request;
@@ -69,7 +69,8 @@ pub enum Ev {
     /// A storage RPC arrived at its server shard (through the cross-shard
     /// mailbox, after wire propagation).
     StoreArrive(StoreMsg),
-    /// A store shard's disk finished the I/O for token `tok`.
+    /// A store shard's disk finished the I/O of the RPC parked in slot
+    /// `slot` of the shard's in-flight table.
     StoreDiskDone(u64),
     /// A storage RPC's ack arrived back at the middle-tier hub.
     StoreAck(AckMsg),
@@ -84,9 +85,9 @@ pub enum Ev {
     Issue(u32, u8),
     /// A scheduled `faultkit` fault fires (crash, stall, link degrade…).
     Fault(FaultKind),
-    /// Per-request timer expired for request slot `key` at generation
-    /// `gen` (stale once the slot was freed or reused).
-    ReqTimeout(u32, u32),
+    /// Per-request timer expired for the attempt in request slot `slot`
+    /// (stale once the slot was freed or reused).
+    ReqTimeout(SlotKey),
     /// Backoff elapsed: re-issue a timed-out request.
     Retry(Box<RetryTicket>),
     /// Open-loop tenant arrival from the seeded load generator
@@ -203,14 +204,11 @@ pub struct Cluster {
     pub metrics: Metrics,
     /// Deterministic request tracer (disabled unless `cfg.trace` is set).
     pub tracer: Tracer,
-    reqs: Vec<Option<InFlight>>,
-    /// Per-slot generation, bumped whenever a slot is freed. Tokens and
-    /// timeout events carry the generation they were minted under, so
-    /// completions of a timed-out request's leftover flows (or its stale
-    /// timer) can never touch the slot's next occupant.
-    gens: Vec<u32>,
-    free: Vec<u32>,
-    quorum: QuorumTracker,
+    /// Request attempts in flight. Tokens and timeout events carry the
+    /// slot key they were minted under; freeing a slot bumps its
+    /// generation, so completions of a timed-out request's leftover flows
+    /// (or its stale timer) can never touch the slot's next occupant.
+    reqs: Slab<InFlight>,
     scrubber: Scrubber,
     /// Every distinct plan the run has launched, stored once.
     plans: PlanTable,
@@ -220,7 +218,6 @@ pub struct Cluster {
     /// Per pool block: the version its replicas append and its checksum,
     /// built on first launch.
     versions: Vec<Option<StoredVersion>>,
-    next_req_id: u64,
     mlc: Option<MlcInjector>,
     /// Wakeup driver over every fabric key and rack link (see
     /// [`simkit::wake`]): at most one armed heap entry per resource, with
@@ -343,15 +340,11 @@ impl Cluster {
             workload,
             metrics: Metrics::default(),
             tracer,
-            reqs: Vec::with_capacity(slots),
-            gens: Vec::with_capacity(slots),
-            free: Vec::new(),
-            quorum: QuorumTracker::new(),
+            reqs: Slab::with_capacity(slots),
             scrubber: Scrubber::new(),
             plans: PlanTable::default(),
             plan_ids: vec![None; pool_blocks * ports * request::PLAN_OPS],
             versions: (0..pool_blocks).map(|_| None).collect(),
-            next_req_id: 0,
             mlc: cfg.mlc.map(|(cores, delay)| MlcInjector::new(cores, delay)),
             wakes: WakeSet::new(topo.wake_count()),
             pending: Vec::new(),
@@ -472,8 +465,8 @@ impl World for Cluster {
             Ev::Fault(kind) => {
                 self.apply_fault(kind, sched);
             }
-            Ev::ReqTimeout(key, gen) => {
-                self.request_timeout(key, gen, sched);
+            Ev::ReqTimeout(slot) => {
+                self.request_timeout(slot, sched);
             }
             Ev::Retry(ticket) => {
                 self.retry(ticket, sched);

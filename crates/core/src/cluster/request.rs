@@ -9,9 +9,9 @@ use crate::plan::{
     inject_read_services, inject_write_services, read_hit_plan, read_plan,
     write_plan_replicated, PlanId, Res, Step, SVC_ENG_DEDUP,
 };
-use blockstore::{crc32, ReplicaSet, ServerId, StoredBlock};
+use blockstore::{crc32, Quorum, ReplicaSet, ServerId, StoredBlock};
 use hwmodel::CpuWork;
-use simkit::{FlowSpec, Scheduler, Time};
+use simkit::{FlowSpec, Scheduler, SlotKey, Time};
 use tracekit::{SegmentAccum, SpanId, StageKind, TraceId};
 
 const BRANCH_BITS: u32 = 3;
@@ -30,7 +30,7 @@ const PREFETCH_BIT: u64 = 1 << 63;
 
 /// One attempt of a request in flight: its logical request (the
 /// [`RetryTicket`] every attempt carries forward) plus the attempt's own
-/// plan progress, replica set and quorum id.
+/// plan progress, replica set and write quorum.
 #[derive(Debug)]
 pub(super) struct InFlight {
     ticket: RetryTicket,
@@ -40,8 +40,10 @@ pub(super) struct InFlight {
     cursor: [u16; MAX_BRANCHES],
     live: u8,
     replicas: ReplicaSet,
-    /// Quorum-tracker id of this attempt (fresh per retry).
-    request_id: u64,
+    /// This attempt's replica acks (fresh per retry; closed for reads).
+    /// Acks of an earlier attempt in the same slot never reach it: they
+    /// carry the slot's old generation and `store_ack` drops them.
+    quorum: Quorum,
     /// The span covering the step each branch is currently blocked on.
     step_span: [SpanId; MAX_BRANCHES],
     /// Length of the block's stored version (the sealed container when
@@ -106,19 +108,19 @@ pub struct RetryTicket {
     seg: SegmentAccum,
 }
 
-fn token(key: u32, branch: u8, gen: u32) -> u64 {
-    debug_assert!(key < 1 << KEY_BITS, "request slot overflows token");
-    ((gen as u64) << (KEY_BITS + BRANCH_BITS))
-        | ((key as u64) << BRANCH_BITS)
+fn token(slot: SlotKey, branch: u8) -> u64 {
+    debug_assert!(slot.index < 1 << KEY_BITS, "request slot overflows token");
+    ((slot.gen as u64) << (KEY_BITS + BRANCH_BITS))
+        | ((slot.index as u64) << BRANCH_BITS)
         | branch as u64
 }
 
-fn untoken(t: u64) -> (u32, u8, u32) {
-    (
-        ((t >> BRANCH_BITS) & ((1 << KEY_BITS) - 1)) as u32,
-        (t & (MAX_BRANCHES as u64 - 1)) as u8,
-        (t >> (KEY_BITS + BRANCH_BITS)) as u32,
-    )
+fn untoken(t: u64) -> (SlotKey, u8) {
+    let slot = SlotKey {
+        index: ((t >> BRANCH_BITS) & ((1 << KEY_BITS) - 1)) as u32,
+        gen: (t >> (KEY_BITS + BRANCH_BITS)) as u32,
+    };
+    (slot, (t & (MAX_BRANCHES as u64 - 1)) as u8)
 }
 
 /// Trace stage and label for a fluid transfer step.
@@ -150,27 +152,27 @@ impl Cluster {
     /// when the branch resumes. No-op handle when the request is unsampled.
     fn open_step_span(
         &mut self,
-        key: u32,
+        slot: SlotKey,
         branch: u8,
         kind: StageKind,
         label: &'static str,
         bytes: u64,
         now: Time,
     ) -> SpanId {
-        let (trace, root) = match self.reqs[key as usize].as_ref() {
+        let (trace, root) = match self.reqs.get(slot) {
             Some(req) => (req.ticket.trace, req.ticket.root),
             None => return SpanId::NULL,
         };
         let sid = self.tracer.span_open(trace, root, kind, label, bytes, now);
-        if let Some(req) = self.reqs[key as usize].as_mut() {
+        if let Some(req) = self.reqs.get_mut(slot) {
             req.step_span[branch as usize] = sid;
         }
         sid
     }
 
     /// Emits a zero-duration span on the request's trace under its root.
-    fn req_instant(&mut self, key: u32, kind: StageKind, label: &'static str, now: Time) {
-        let (trace, root) = match self.reqs[key as usize].as_ref() {
+    fn req_instant(&mut self, slot: SlotKey, kind: StageKind, label: &'static str, now: Time) {
+        let (trace, root) = match self.reqs.get(slot) {
             Some(req) => (req.ticket.trace, req.ticket.root),
             None => return,
         };
@@ -179,22 +181,21 @@ impl Cluster {
 
     /// Advances one branch of one request as far as it can go.
     fn step_branch(&mut self, tok: u64, sched: &mut Scheduler<Ev>) {
-        let (key, branch, gen) = untoken(tok);
-        if self.gens.get(key as usize).copied() != Some(gen) {
-            return; // token minted for a previous occupant of this slot
-        }
+        let (slot, branch) = untoken(tok);
+        // A token minted for a previous occupant of the slot resolves to
+        // nothing.
+        let Some(req) = self.reqs.get_mut(slot) else {
+            return;
+        };
         let now = sched.now();
         // The branch resumed: close the span covering the step it was
         // blocked on (null for the very first step of a phase).
-        let finished = match self.reqs[key as usize].as_mut() {
-            Some(req) => std::mem::replace(&mut req.step_span[branch as usize], SpanId::NULL),
-            None => SpanId::NULL,
-        };
+        let finished = std::mem::replace(&mut req.step_span[branch as usize], SpanId::NULL);
         self.tracer.span_close(finished, now);
         loop {
             // Fetch the next step (or detect branch/phase completion).
             let step = {
-                let Some(req) = self.reqs[key as usize].as_mut() else {
+                let Some(req) = self.reqs.get_mut(slot) else {
                     return; // request already completed (stale token)
                 };
                 let steps = self.plans.branch(req.plan, req.phase, branch as usize);
@@ -208,7 +209,7 @@ impl Cluster {
                     // Phase done → next phase or request completion.
                     req.phase += 1;
                     if req.phase >= self.plans.phase_count(req.plan) {
-                        self.complete_request(key, sched);
+                        self.complete_request(slot, sched);
                         return;
                     }
                     req.cursor = [0; MAX_BRANCHES];
@@ -216,7 +217,7 @@ impl Cluster {
                     assert!(n <= MAX_BRANCHES, "too many parallel branches");
                     req.live = n as u8;
                     for b in 0..n as u8 {
-                        self.pending.push(token(key, b, gen));
+                        self.pending.push(token(slot, b));
                     }
                     return;
                 }
@@ -227,7 +228,7 @@ impl Cluster {
                 Step::Xfer(_, 0) => continue,
                 Step::Xfer(res, bytes) => {
                     let (kind, label) = res_span(res);
-                    self.open_step_span(key, branch, kind, label, bytes as u64, now);
+                    self.open_step_span(slot, branch, kind, label, bytes as u64, now);
                     let (fkey, class) = res_route(res);
                     self.touch(fkey);
                     if fkey == FluidKey::Mem {
@@ -254,13 +255,13 @@ impl Cluster {
                         CpuWork::Crypt(n) => (StageKind::Encrypt, "xts-crypt", n as u64),
                         CpuWork::CacheLookup => (StageKind::Cache, "cache-lookup", 0u64),
                     };
-                    let sid = self.open_step_span(key, branch, kind, label, wbytes, now);
+                    let sid = self.open_step_span(slot, branch, kind, label, wbytes, now);
                     let cpu = &mut self.cpu;
                     (Station::Cpu, sid, cpu.queued(), cpu.submit(now, work, tok))
                 }
                 Step::Engine(i, bytes) => {
                     let sid = self.open_step_span(
-                        key,
+                        slot,
                         branch,
                         StageKind::EngineJob,
                         "lz4-engine",
@@ -276,7 +277,7 @@ impl Cluster {
                         CpuWork::Crypt(n) => (StageKind::Encrypt, "soc-xts-crypt", n as u64),
                         _ => (StageKind::CpuJob, "soc-job", 0u64),
                     };
-                    let sid = self.open_step_span(key, branch, kind, label, wbytes, now);
+                    let sid = self.open_step_span(slot, branch, kind, label, wbytes, now);
                     let Some(soc) = self.services.as_mut().and_then(|s| s.soc.as_mut()) else {
                         unreachable!("SvcCpu steps are only planned with a SoC placement");
                     };
@@ -288,7 +289,7 @@ impl Cluster {
                     } else {
                         (StageKind::Encrypt, "svc-engine-crypt")
                     };
-                    let sid = self.open_step_span(key, branch, kind, label, bytes as u64, now);
+                    let sid = self.open_step_span(slot, branch, kind, label, bytes as u64, now);
                     let Some(svc) = self.services.as_mut() else {
                         unreachable!("SvcEngine steps are only planned with services on");
                     };
@@ -297,7 +298,7 @@ impl Cluster {
                 }
                 Step::Store(r, bytes) => {
                     let (pool_idx, b, chunk_key, block, server, class) = {
-                        let Some(req) = self.reqs[key as usize].as_ref() else {
+                        let Some(req) = self.reqs.get(slot) else {
                             return;
                         };
                         (
@@ -310,7 +311,7 @@ impl Cluster {
                         )
                     };
                     self.open_step_span(
-                        key,
+                        slot,
                         branch,
                         StageKind::DiskIo,
                         "storage-rpc",
@@ -330,13 +331,13 @@ impl Cluster {
                 }
                 Step::Fetch(bytes) => {
                     let (server, class) = {
-                        let Some(req) = self.reqs[key as usize].as_ref() else {
+                        let Some(req) = self.reqs.get(slot) else {
                             return;
                         };
                         (req.replicas[0].0, req.ticket.class)
                     };
                     self.open_step_span(
-                        key,
+                        slot,
                         branch,
                         StageKind::DiskIo,
                         "storage-rpc",
@@ -347,19 +348,19 @@ impl Cluster {
                     return;
                 }
                 Step::Wait(d) => {
-                    self.open_step_span(key, branch, StageKind::Propagation, "propagation", 0, now);
+                    self.open_step_span(slot, branch, StageKind::Propagation, "propagation", 0, now);
                     sched.schedule_in(d, Ev::Delay(tok));
                     return;
                 }
                 Step::Mark(kind) => {
-                    if let Some(req) = self.reqs[key as usize].as_mut() {
+                    if let Some(req) = self.reqs.get_mut(slot) {
                         req.ticket.seg.mark(kind, now);
                     }
-                    self.req_instant(key, kind, kind.name(), now);
+                    self.req_instant(slot, kind, kind.name(), now);
                     continue;
                 }
                 Step::Note(kind, label) => {
-                    self.req_instant(key, kind, label, now);
+                    self.req_instant(slot, kind, label, now);
                     continue;
                 }
             };
@@ -407,7 +408,10 @@ impl Cluster {
                 Some(svc) => {
                     StoredBlock::raw(svc.sealed_block(pool_idx, self.workload.payload(pool_idx)).0)
                 }
-                None => StoredBlock::lz4(self.workload.compressed(pool_idx), b),
+                None => {
+                    let payload = self.workload.payload(pool_idx);
+                    StoredBlock::lz4(lz4kit::compress_with(payload, lz4kit::Level::Fast), b)
+                }
             };
             let crc = crc32(&stored.data);
             StoredVersion { stored, crc }
@@ -469,16 +473,12 @@ impl Cluster {
         if let AckOutcome::Stored { compacted: true } = ack.outcome {
             self.metrics.compactions += 1;
         }
-        let (key, branch, gen) = untoken(ack.tok);
-        if self.gens.get(key as usize).copied() != Some(gen) {
-            return; // the attempt timed out or completed; drop the late ack
-        }
-        let (request_id, trace, root, pool_idx, b, chunk_key, block) = {
-            let Some(req) = self.reqs[key as usize].as_ref() else {
-                return;
+        let (slot, branch) = untoken(ack.tok);
+        let (trace, root, pool_idx, b, chunk_key, block) = {
+            let Some(req) = self.reqs.get(slot) else {
+                return; // the attempt timed out or completed; drop the late ack
             };
             (
-                req.request_id,
                 req.ticket.trace,
                 req.ticket.root,
                 req.ticket.pool_idx,
@@ -487,7 +487,7 @@ impl Cluster {
                 req.ticket.block,
             )
         };
-        if let Some(req) = self.reqs[key as usize].as_ref() {
+        if let Some(req) = self.reqs.get(slot) {
             self.tracer
                 .span_set_queue(req.step_span[branch as usize], ack.depth);
         }
@@ -505,7 +505,9 @@ impl Cluster {
                 // The redirect may land on a server that already acked this
                 // request; duplicate acks never double-count, so the quorum
                 // stays honest.
-                self.quorum.ack(request_id, ServerId(ack.server));
+                if let Some(req) = self.reqs.get_mut(slot) {
+                    req.quorum.ack(ServerId(ack.server));
+                }
                 let label = if ack.redirects > 0 {
                     "failover-ack"
                 } else {
@@ -538,20 +540,19 @@ impl Cluster {
         self.pump(sched);
     }
 
-    fn complete_request(&mut self, key: u32, sched: &mut Scheduler<Ev>) {
-        let Some(req) = self.reqs[key as usize].take() else {
-            unreachable!("request slot {key} completed twice");
+    fn complete_request(&mut self, slot: SlotKey, sched: &mut Scheduler<Ev>) {
+        // Freeing the slot invalidates any leftover tokens/timers minted
+        // for this attempt.
+        let Some(mut req) = self.reqs.remove(slot) else {
+            unreachable!("request slot {slot:?} completed twice");
         };
-        // Invalidate any leftover tokens/timers minted for this attempt.
-        self.gens[key as usize] = self.gens[key as usize].wrapping_add(1);
-        let quorum_incomplete = self.quorum.abort(req.request_id);
+        let quorum_incomplete = req.quorum.abort();
         if quorum_incomplete && !req.ticket.is_read && self.cfg.request_timeout.is_some() {
             // Fault-aware mode: the plan ran to its end but some replica
             // ack never landed (e.g. every fail-over target was down too).
             // Acking the VM now would be silent under-replication — route
             // the request through the retry path instead, so it either
             // eventually lands a full quorum or fails explicitly.
-            self.free.push(key);
             self.in_flight -= 1;
             self.metrics.aborts += 1;
             self.tracer.instant(
@@ -567,7 +568,6 @@ impl Cluster {
             self.fail_or_retry(ticket, sched);
             return;
         }
-        self.free.push(key);
         let now = sched.now();
         let latency = now - req.ticket.first_issued_at;
         if self.loadgen.is_some() {
@@ -756,40 +756,31 @@ impl Cluster {
             (true, true) => PlanOp::ReadHit,
         };
         let plan = self.plan_for(ticket.pool_idx, port, op, ticket.b, c);
-        let request_id = self.next_req_id;
-        self.next_req_id += 1;
-        if !ticket.is_read {
-            self.quorum.begin(request_id, self.cfg.replication);
-        }
-        let key = match self.free.pop() {
-            Some(k) => k,
-            None => {
-                self.reqs.push(None);
-                self.gens.push(0);
-                (self.reqs.len() - 1) as u32
-            }
+        let quorum = if ticket.is_read {
+            Quorum::CLOSED
+        } else {
+            Quorum::open(self.cfg.replication)
         };
-        let gen = self.gens[key as usize];
         let n = self.plans.branch_count(plan, 0);
         assert!(n <= MAX_BRANCHES);
-        self.reqs[key as usize] = Some(InFlight {
+        let slot = self.reqs.insert(InFlight {
             ticket,
             plan,
             phase: 0,
             cursor: [0; MAX_BRANCHES],
             live: n as u8,
             replicas,
-            request_id,
+            quorum,
             step_span: [SpanId::NULL; MAX_BRANCHES],
             stored_len: c,
             cache_hit,
         });
         self.in_flight += 1;
         if let Some(timeout) = self.cfg.request_timeout {
-            sched.schedule_in(timeout, Ev::ReqTimeout(key, gen));
+            sched.schedule_in(timeout, Ev::ReqTimeout(slot));
         }
         for b in 0..n as u8 {
-            self.pending.push(token(key, b, gen));
+            self.pending.push(token(slot, b));
         }
         self.pump(sched);
     }
@@ -830,15 +821,10 @@ impl Cluster {
     /// The per-request timer fired: if the slot still holds the same
     /// attempt, abandon it (abort its quorum, penalize the silent
     /// replicas) and hand the request to the retry path.
-    pub(super) fn request_timeout(&mut self, key: u32, gen: u32, sched: &mut Scheduler<Ev>) {
-        if self.gens.get(key as usize).copied() != Some(gen) {
+    pub(super) fn request_timeout(&mut self, slot: SlotKey, sched: &mut Scheduler<Ev>) {
+        let Some(mut req) = self.reqs.remove(slot) else {
             return; // the attempt completed (or already timed out)
-        }
-        let Some(req) = self.reqs[key as usize].take() else {
-            return;
         };
-        self.gens[key as usize] = self.gens[key as usize].wrapping_add(1);
-        self.free.push(key);
         self.in_flight -= 1;
         self.metrics.timeouts += 1;
         let now = sched.now();
@@ -853,13 +839,20 @@ impl Cluster {
         if !req.ticket.is_read {
             // Penalize only the replicas that stayed silent — the ones
             // that acked did their part.
-            let acked = self.quorum.acked_servers(req.request_id);
+            //
+            // Known quirk, kept because every recorded run depends on it:
+            // a quorum closes the moment its last replica acks, and a
+            // closed quorum reports no acked servers. So a write that
+            // times out *after* a full quorum (in its CQE or VM-ack
+            // phases) penalizes every replica, including all that acked,
+            // and counts no abort.
+            let acked = req.quorum.acked_servers();
             for &id in &req.replicas {
                 if !acked.contains(&id) {
                     self.selector.penalize(id, TIMEOUT_PENALTY);
                 }
             }
-            if self.quorum.abort(req.request_id) {
+            if req.quorum.abort() {
                 self.metrics.aborts += 1;
             }
         }

@@ -5,8 +5,7 @@
 use super::{AckMsg, AckOutcome, Cluster, Ev, StoreMsg, COMPACTION_THRESHOLD};
 use blockstore::{DiskModel, ServerId, StorageServer};
 use faultkit::FaultKind;
-use simkit::{Scheduler, ShardWorld, Time, World};
-use std::collections::BTreeMap;
+use simkit::{Scheduler, ShardWorld, Slab, SlotKey, Time, World};
 use tracekit::{SpanId, StageKind};
 
 impl Cluster {
@@ -43,7 +42,9 @@ pub struct StoreShard {
     id: u32,
     disk: DiskModel,
     server: StorageServer,
-    pending: BTreeMap<u64, StoreMsg>,
+    /// In-flight RPCs between arrival and disk completion; the packed slot
+    /// key is the disk job's token.
+    pending: Slab<StoreMsg>,
     /// Ack propagation back to the hub: this server's topology path
     /// latency (the flat wire constant without a topology). Always ≥ the
     /// engine lookahead, which is the minimum over all servers.
@@ -54,11 +55,11 @@ pub struct StoreShard {
 }
 
 impl StoreShard {
-    /// Completion of a storage RPC's disk I/O: perform the functional
-    /// append (with local LSM compaction when the chunk's threshold fires)
-    /// and build the ack for the hub.
-    fn finish(&mut self, tok: u64) -> Option<AckMsg> {
-        let msg = self.pending.remove(&tok)?;
+    /// Completion of the disk I/O of the RPC parked under `slot`: perform
+    /// the functional append (with local LSM compaction when the chunk's
+    /// threshold fires) and build the ack for the hub.
+    fn finish(&mut self, slot: SlotKey) -> Option<AckMsg> {
+        let msg = self.pending.remove(slot)?;
         let outcome = match msg.payload {
             None => AckOutcome::Fetched,
             Some(p) => match self.server.append(p.chunk_key, p.block, p.stored) {
@@ -77,7 +78,7 @@ impl StoreShard {
         };
         Some(AckMsg {
             server: msg.server,
-            tok,
+            tok: msg.tok,
             bytes: msg.bytes,
             outcome,
             depth: msg.depth,
@@ -96,17 +97,17 @@ impl World for StoreShard {
         match ev {
             Ev::StoreArrive(mut msg) => {
                 msg.depth = self.disk.queued() as u32;
-                let (tok, bytes) = (msg.tok, msg.bytes as usize);
-                self.pending.insert(tok, msg);
-                if let Some(js) = self.disk.submit(now, bytes, tok) {
+                let bytes = msg.bytes as usize;
+                let slot = self.pending.insert(msg);
+                if let Some(js) = self.disk.submit(now, bytes, slot.pack()) {
                     sched.schedule_at(js.finish_at, Ev::StoreDiskDone(js.token));
                 }
             }
-            Ev::StoreDiskDone(tok) => {
+            Ev::StoreDiskDone(slot) => {
                 if let Some(next) = self.disk.complete(now) {
                     sched.schedule_at(next.finish_at, Ev::StoreDiskDone(next.token));
                 }
-                if let Some(ack) = self.finish(tok) {
+                if let Some(ack) = self.finish(SlotKey::unpack(slot)) {
                     sched.send(0, self.wire, Ev::StoreAck(ack));
                 }
             }
@@ -129,7 +130,7 @@ pub enum ClusterShard {
     /// The middle-tier hub: clients, fabric, CPU/engines, request logic.
     Hub(Box<Cluster>),
     /// One storage server's disk and chunk store.
-    Store(StoreShard),
+    Store(Box<StoreShard>),
 }
 
 impl World for ClusterShard {
@@ -232,14 +233,14 @@ impl Cluster {
         let servers = std::mem::take(&mut self.servers);
         let mut shards: Vec<ClusterShard> = Vec::with_capacity(1 + servers.len());
         for (i, server) in servers.into_iter().enumerate() {
-            shards.push(ClusterShard::Store(StoreShard {
+            shards.push(ClusterShard::Store(Box::new(StoreShard {
                 id: i as u32,
                 disk: DiskModel::nvme("storage-disk"),
                 server,
-                pending: BTreeMap::new(),
+                pending: Slab::new(),
                 wire: self.rpc_latency(i as u32),
                 tag: simkit::ShardTag::new(1 + i as u32),
-            }));
+            })));
         }
         // The hub is shard 0.
         shards.insert(0, ClusterShard::Hub(Box::new(self)));
@@ -254,7 +255,7 @@ impl Cluster {
         for s in shards {
             match s {
                 ClusterShard::Hub(c) => hub = Some(c),
-                ClusterShard::Store(st) => stores.push(st),
+                ClusterShard::Store(st) => stores.push(*st),
             }
         }
         let Some(mut cluster) = hub else {
@@ -263,5 +264,51 @@ impl Cluster {
         stores.sort_by_key(|s| s.id);
         cluster.servers.extend(stores.into_iter().map(|st| st.server));
         *cluster
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use testkit::gen;
+
+    testkit::prop! {
+        cases = 128;
+
+        /// The store shard's RPC slab under random arrive/complete orders
+        /// (`(false, _)` = an RPC arrives, `(true, k)` = the disk finishes
+        /// the `k`-th live one), its keys round-tripping through the disk
+        /// token: every completion gets its own message back, no token is
+        /// ever handed out twice (so a completed one never resolves
+        /// again), and freed slots are reused — the slab never holds more
+        /// slots than RPCs were ever live at once.
+        fn rpc_slab_returns_each_message_under_its_own_token(
+            ops in gen::vecs((gen::bools(), gen::u64s(0..64)), 1..200),
+        ) {
+            let mut slab: Slab<StoreMsg> = Slab::new();
+            let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut minted: BTreeSet<u64> = BTreeSet::new();
+            let (mut next_id, mut peak, mut slots) = (0u64, 0usize, 0u32);
+            for &(complete, k) in &ops {
+                if complete && !live.is_empty() {
+                    let (&tok, &id) = live.iter().nth(k as usize % live.len()).unwrap();
+                    let key = SlotKey::unpack(tok);
+                    let msg = slab.remove(key).expect("a live token resolves");
+                    assert_eq!(msg.tok, id, "token {tok:#x} returned another RPC's message");
+                    live.remove(&tok);
+                    assert!(slab.remove(key).is_none(), "token {tok:#x} resolved twice");
+                } else {
+                    let msg = StoreMsg::new((next_id % 6) as u32, next_id, 4096, 0, None);
+                    let key = slab.insert(msg);
+                    assert!(minted.insert(key.pack()), "token {key:?} handed out twice");
+                    live.insert(key.pack(), next_id);
+                    slots = slots.max(key.index + 1);
+                    next_id += 1;
+                    peak = peak.max(live.len());
+                }
+                assert!(slots as usize <= peak, "{slots} slots for {peak} live");
+            }
+        }
     }
 }

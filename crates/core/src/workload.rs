@@ -1,15 +1,16 @@
 //! Workload generation: Silesia-mix payloads and request parameters.
 //!
-//! The generator owns a [`BlockPool`] of corpus blocks and memoizes each
-//! block's LZ4 stream, so the simulation compresses every *distinct* block
-//! exactly once while the timing model charges each request its full
-//! compression time. Payload compressibility varies block to block exactly
-//! as the corpus mix dictates, which is what spreads the latency tails.
+//! The generator owns a [`BlockPool`] of corpus blocks and draws which
+//! block each request writes, and where. The cluster keeps each block's
+//! stored version (its LZ4 stream, or the sealed container when data
+//! services are on) once per run, so the simulation compresses every
+//! *distinct* block exactly once while the timing model charges each
+//! request its full compression time. Payload compressibility varies
+//! block to block exactly as the corpus mix dictates, which is what
+//! spreads the latency tails.
 
 use blockstore::VdLayout;
-use simkit::Bytes;
 use corpus::BlockPool;
-use lz4kit::Level;
 use simkit::Rng;
 
 /// One write request's parameters.
@@ -19,8 +20,6 @@ pub struct WriteReq {
     pub pool_idx: usize,
     /// Uncompressed payload length.
     pub b: u32,
-    /// Compressed payload length (LZ4 fast).
-    pub c: u32,
     /// Target chunk (segment, chunk).
     pub chunk_key: (u64, u64),
     /// Block index within the chunk.
@@ -31,7 +30,6 @@ pub struct WriteReq {
 #[derive(Debug)]
 pub struct Workload {
     pool: BlockPool,
-    compressed: Vec<Option<Bytes>>,
     layout: VdLayout,
     rng: Rng,
     /// Number of distinct chunks the requests spread over.
@@ -66,10 +64,8 @@ impl Workload {
     }
 
     fn from_pool(pool: BlockPool, seed: u64) -> Self {
-        let pool_blocks = pool.len();
         Workload {
             pool,
-            compressed: vec![None; pool_blocks],
             layout: VdLayout::paper(),
             rng: Rng::new(seed ^ 0x00C0_FFEE),
             chunk_fanout: 16,
@@ -134,7 +130,6 @@ impl Workload {
     pub fn next_write(&mut self) -> WriteReq {
         let pool_idx = self.pick_block();
         let b = self.pool.block_size() as u32;
-        let c = self.compressed(pool_idx).len() as u32;
         // Uniform mode spreads writes over a handful of chunks in segment 0
         // so compaction thresholds are reached during a run. Skewed mode
         // ties the address to the (Zipf-chosen) block, so hot logical
@@ -162,7 +157,6 @@ impl Workload {
         WriteReq {
             pool_idx,
             b,
-            c,
             chunk_key: (0, chunk),
             block,
         }
@@ -171,16 +165,6 @@ impl Workload {
     /// The payload bytes of a pool block.
     pub fn payload(&self, pool_idx: usize) -> &[u8] {
         self.pool.get(pool_idx)
-    }
-
-    /// The memoized LZ4 stream of a pool block.
-    pub fn compressed(&mut self, pool_idx: usize) -> Bytes {
-        if let Some(cached) = &self.compressed[pool_idx] {
-            return cached.clone();
-        }
-        let packed = Bytes::from(lz4kit::compress_with(self.pool.get(pool_idx), Level::Fast));
-        self.compressed[pool_idx] = Some(packed.clone());
-        packed
     }
 
     /// Exponential think time in picoseconds with the given mean in µs.
@@ -206,22 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn compressed_memoization_matches_direct() {
-        let mut w = Workload::new(4096, 16, 3);
-        let c1 = w.compressed(5);
-        let direct = lz4kit::compress(w.payload(5));
-        assert_eq!(&c1[..], &direct[..]);
-        // Second call returns the same bytes without recompressing.
-        assert_eq!(w.compressed(5), c1);
-    }
-
-    #[test]
-    fn c_field_matches_compressed_len() {
+    fn requests_write_whole_pool_blocks() {
         let mut w = Workload::new(4096, 32, 4);
         for _ in 0..20 {
             let r = w.next_write();
-            assert_eq!(r.c as usize, w.compressed(r.pool_idx).len());
+            assert!(r.pool_idx < 32);
             assert_eq!(r.b, 4096);
+            assert_eq!(w.payload(r.pool_idx).len(), 4096);
         }
     }
 
@@ -256,8 +231,10 @@ mod tests {
 
     #[test]
     fn mix_has_varying_compressibility() {
-        let mut w = Workload::new(4096, 128, 5);
-        let mut sizes: Vec<u32> = (0..128).map(|i| w.compressed(i).len() as u32).collect();
+        let w = Workload::new(4096, 128, 5);
+        let mut sizes: Vec<u32> = (0..128)
+            .map(|i| lz4kit::compress_with(w.payload(i), lz4kit::Level::Fast).len() as u32)
+            .collect();
         sizes.sort_unstable();
         // The Silesia mix spans incompressible to highly compressible.
         assert!(sizes[0] < 2000, "most compressible {}", sizes[0]);

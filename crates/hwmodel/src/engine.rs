@@ -74,11 +74,13 @@ impl CompressEngine {
     }
 
     /// Submits a block; see [`ServerPool::submit`].
+    #[inline]
     pub fn submit(&mut self, now: Time, bytes: usize, token: u64) -> Option<JobStart> {
         self.pool.submit(now, self.service_time(bytes), token)
     }
 
     /// Completes the running job; see [`ServerPool::complete`].
+    #[inline]
     pub fn complete(&mut self, now: Time) -> Option<JobStart> {
         self.pool.complete(now)
     }
@@ -94,6 +96,7 @@ impl CompressEngine {
     }
 
     /// Blocks waiting behind the engine's lanes.
+    #[inline]
     pub fn queued(&self) -> usize {
         self.pool.queued()
     }
@@ -191,11 +194,13 @@ impl CpuPool {
     }
 
     /// Submits `work`; see [`ServerPool::submit`].
+    #[inline]
     pub fn submit(&mut self, now: Time, work: CpuWork, token: u64) -> Option<JobStart> {
         self.pool.submit(now, self.service_time(work), token)
     }
 
     /// Completes the oldest running job; see [`ServerPool::complete`].
+    #[inline]
     pub fn complete(&mut self, now: Time) -> Option<JobStart> {
         self.pool.complete(now)
     }
@@ -206,6 +211,7 @@ impl CpuPool {
     }
 
     /// Jobs waiting for a core.
+    #[inline]
     pub fn queued(&self) -> usize {
         self.pool.queued()
     }

@@ -131,6 +131,9 @@ pub struct Scheduler<E> {
     /// engine swaps these against empty same-capacity buffers at each
     /// barrier, so steady-state epochs allocate nothing here.
     outboxes: Vec<Vec<Outgoing<E>>>,
+    /// Destinations whose outbox received mail this window, in first-send
+    /// order: the barrier swaps only these outboxes.
+    sent_to: Vec<u32>,
     /// Per-sender message sequence: the deterministic mailbox tie-break.
     msg_seq: u64,
 }
@@ -147,6 +150,7 @@ impl<E> Scheduler<E> {
             shard,
             lookahead,
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
+            sent_to: Vec::new(),
             msg_seq: 0,
         }
     }
@@ -211,7 +215,11 @@ impl<E> Scheduler<E> {
         );
         let seq = self.msg_seq;
         self.msg_seq += 1;
-        self.outboxes[dst as usize].push(Outgoing {
+        let outbox = &mut self.outboxes[dst as usize];
+        if outbox.is_empty() {
+            self.sent_to.push(dst);
+        }
+        outbox.push(Outgoing {
             at: self.now.saturating_add(delay),
             seq,
             event,
@@ -230,16 +238,37 @@ impl<E> Scheduler<E> {
         });
     }
 
-    /// Exchanges the per-destination outboxes against `bufs` (one empty
-    /// buffer per shard): the engine walks off with this window's traffic
-    /// and leaves last window's drained buffers — capacity included — in
-    /// their place.
-    pub(crate) fn swap_outboxes(&mut self, bufs: &mut [Vec<Outgoing<E>>]) {
+    /// Hands this window's traffic to the engine: swaps every outbox that
+    /// received mail against the matching (empty) buffer of `bufs` — one
+    /// per destination shard — and appends `(destination, this shard)` to
+    /// `pairs` for each. The engine walks off with the traffic and leaves
+    /// last window's drained buffers, capacity included, in their place.
+    pub(crate) fn swap_outboxes(
+        &mut self,
+        bufs: &mut [Vec<Outgoing<E>>],
+        pairs: &mut Vec<(u32, u32)>,
+    ) {
         debug_assert_eq!(bufs.len(), self.outboxes.len());
-        for (mine, theirs) in self.outboxes.iter_mut().zip(bufs) {
+        for dst in self.sent_to.drain(..) {
+            let theirs = &mut bufs[dst as usize];
             debug_assert!(theirs.is_empty());
-            std::mem::swap(mine, theirs);
+            std::mem::swap(&mut self.outboxes[dst as usize], theirs);
+            pairs.push((dst, self.shard));
         }
+    }
+
+    /// Messages parked in this shard's outboxes, counted over every
+    /// destination without consulting the sent-to list (the shard tests'
+    /// oracle checks the swap left nothing behind).
+    #[cfg(test)]
+    pub(crate) fn parked_mail(&self) -> usize {
+        self.outboxes.iter().map(Vec::len).sum()
+    }
+
+    /// Whether this shard sent any cross-shard message since the last
+    /// `swap_outboxes`.
+    pub(crate) fn mailed(&self) -> bool {
+        !self.sent_to.is_empty()
     }
 
     pub(crate) fn is_stopped(&self) -> bool {

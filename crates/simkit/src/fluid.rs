@@ -309,6 +309,7 @@ impl FluidResource {
 
     /// Monotonic epoch, bumped whenever rates change. Wakeups scheduled under
     /// an older epoch must be discarded.
+    #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -484,6 +485,7 @@ impl FluidResource {
     /// # Panics
     ///
     /// Panics if `now` is before the previous sync point.
+    #[inline]
     pub fn sync(&mut self, now: Time) {
         assert!(
             now >= self.last_sync,
@@ -496,6 +498,12 @@ impl FluidResource {
         if dt == 0.0 || self.active == 0 {
             return;
         }
+        self.advance(dt);
+    }
+
+    /// Moves `dt` seconds of bytes through the live flows at current rates
+    /// and retires the flows that finish (the body of [`Self::sync`]).
+    fn advance(&mut self, dt: f64) {
         if self.level > 0.0 {
             let dv = self.level * dt;
             for c in 0..8 {
@@ -590,6 +598,7 @@ impl FluidResource {
     /// documented field bounds (non-positive/non-finite weight, negative
     /// or NaN rate cap, class ≥ 8) — possible only by mutating the public
     /// fields directly past the builder's checks.
+    #[inline]
     pub fn start_flow(&mut self, now: Time, bytes: f64, spec: FlowSpec, token: u64) -> FlowId {
         assert!(bytes >= 0.0 && !bytes.is_nan(), "invalid flow size: {bytes}");
         assert!(
@@ -662,6 +671,7 @@ impl FluidResource {
     /// Appends the completed-flow buffer to `out` and clears it, keeping
     /// both allocations alive for reuse — the zero-allocation counterpart
     /// of [`FluidResource::take_completed`] for per-event drain loops.
+    #[inline]
     pub fn take_completed_into(&mut self, out: &mut Vec<FlowEnd>) {
         out.append(&mut self.completed);
     }
@@ -671,6 +681,7 @@ impl FluidResource {
     /// flow, ceiled to the next picosecond + 1 ps so the wake lands
     /// strictly after the completion instant even when the division is
     /// exactly representable.
+    #[inline]
     pub fn next_wake(&self) -> Option<Time> {
         let mut best = f64::INFINITY;
         if self.level > 0.0 {

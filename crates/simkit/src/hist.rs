@@ -76,6 +76,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: Time) {
         let ps = value.as_ps();
         self.counts[Self::index(ps)] += 1;

@@ -17,6 +17,8 @@
 //!   one armed heap entry each, schedule-equivalent to re-arming after
 //!   every event.
 //! * [`ServerPool`] — k-server FIFO queues (CPU cores, Arm cores).
+//! * [`Slab`] — generational slots for in-flight records, so a stale key
+//!   (a late ack, a timed-out attempt's completion) never resolves.
 //! * [`Histogram`] — HDR-style latency histogram (mean/p99/p999).
 //! * [`Meter`] — windowed throughput meters that exclude warm-up.
 //! * [`Rng`] — seedable SplitMix64 for deterministic workloads.
@@ -89,6 +91,7 @@ mod rng;
 pub mod sanitizer;
 mod server;
 pub mod shard;
+mod slab;
 mod time;
 pub mod wake;
 mod wheel;
@@ -103,4 +106,5 @@ pub use hist::Histogram;
 pub use meter::Meter;
 pub use rng::Rng;
 pub use server::{JobStart, ServerPool};
+pub use slab::{Slab, SlotKey};
 pub use time::{gbps, to_gbps, transfer_time, Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};

@@ -43,6 +43,7 @@ impl Meter {
     ///
     /// Amounts stamped before the window start are ignored, so resetting at
     /// the warm-up boundary cleanly excludes in-flight warm-up work.
+    #[inline]
     pub fn add(&mut self, at: Time, amount: f64) {
         if at < self.window_start {
             return;

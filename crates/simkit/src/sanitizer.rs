@@ -89,6 +89,7 @@ impl ShardTag {
     /// release builds, outside `ShardedSim::run`, and during the
     /// single-threaded merge.
     #[track_caller]
+    #[inline]
     pub fn check(&self, what: &str) {
         #[cfg(debug_assertions)]
         if let Mode::Parallel { shard, at_ps, seq } = MODE.get() {

@@ -121,6 +121,7 @@ impl ServerPool {
     /// starts immediately and its [`JobStart`] is returned; otherwise the job
     /// queues and `None` is returned (its start will be reported by a later
     /// [`ServerPool::complete`]).
+    #[inline]
     pub fn submit(&mut self, now: Time, service: Time, token: u64) -> Option<JobStart> {
         if self.busy < self.servers {
             self.busy += 1;
@@ -146,6 +147,7 @@ impl ServerPool {
     /// # Panics
     ///
     /// Panics if no job was in service.
+    #[inline]
     pub fn complete(&mut self, now: Time) -> Option<JobStart> {
         assert!(self.busy > 0, "{}: complete() with no busy server", self.name);
         self.jobs_done += 1;

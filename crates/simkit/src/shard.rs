@@ -70,7 +70,12 @@
 //! # Costs
 //!
 //! Each round is one horizon computation and one outbox merge, both on
-//! the coordinator thread. On the scoped path a round gate hands the
+//! the coordinator thread, and both cost O(shards that ran), not O(all
+//! shards): every window reports its shard's next event time, whether it
+//! mailed and whether it stopped, so starting a round locks no cell; the
+//! horizons are a row-major pass over the senders that have a next event;
+//! and the merge swaps only the outboxes that received mail and locks
+//! each receiver once. On the scoped path a round gate hands the
 //! window to the workers: the coordinator publishes the horizons, bumps a
 //! generation counter and unparks the workers; each waits by spinning,
 //! then yielding, then parking, and counts itself finished. Rounds in
@@ -185,7 +190,98 @@ fn get_mut<W: ShardWorld>(cell: &mut Mutex<Cell<W>>) -> &mut Cell<W> {
     cell.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Executes one shard's events strictly below `horizon`.
+/// What a shard's window leaves for the coordinator: everything the next
+/// round's start and this round's merge need, so neither locks a cell
+/// just to look.
+#[derive(Copy, Clone, Debug)]
+struct Report {
+    /// The shard's next event time after the window.
+    next: Option<Time>,
+    /// Whether the window sent cross-shard mail.
+    mailed: bool,
+    /// Whether the shard requested a stop.
+    stopped: bool,
+}
+
+impl Report {
+    fn of<W: ShardWorld>(cell: &Cell<W>) -> Self {
+        Report {
+            next: cell.sched.next_time(),
+            mailed: cell.sched.mailed(),
+            stopped: cell.sched.is_stopped(),
+        }
+    }
+
+    /// Packs the report into one word for the scoped workers' report
+    /// slots: bit 0 = has a next event, bit 1 = mailed, bit 2 = stopped.
+    /// The time goes in a second word.
+    fn flags(&self) -> u64 {
+        self.next.is_some() as u64 | (self.mailed as u64) << 1 | (self.stopped as u64) << 2
+    }
+
+    fn unpack(flags: u64, next_ps: u64) -> Self {
+        Report {
+            next: (flags & 1 != 0).then(|| Time::from_ps(next_ps)),
+            mailed: flags & 2 != 0,
+            stopped: flags & 4 != 0,
+        }
+    }
+}
+
+/// The coordinator's view of every shard between rounds, kept current
+/// from window reports and merge deliveries instead of read from the
+/// cells.
+struct RoundState {
+    /// Per shard: its next event time.
+    next: Vec<Option<Time>>,
+    /// Per shard: this round's horizon.
+    horizons: Vec<Time>,
+    /// Shards that sent mail this round.
+    senders: Vec<u32>,
+    /// `(receiver, sender)` pairs that carried mail this round.
+    pairs: Vec<(u32, u32)>,
+    /// Some shard requested a stop: the run ends after this round.
+    stop: bool,
+}
+
+impl RoundState {
+    /// Reads every cell once, at the start of a run.
+    fn new<W: ShardWorld>(cells: &[Mutex<Cell<W>>]) -> Self {
+        let mut stop = false;
+        let next = cells
+            .iter()
+            .map(|cell| {
+                let c = lock(cell);
+                stop |= c.sched.is_stopped();
+                c.sched.next_time()
+            })
+            .collect();
+        RoundState {
+            next,
+            horizons: vec![Time::ZERO; cells.len()],
+            senders: Vec::new(),
+            pairs: Vec::new(),
+            stop,
+        }
+    }
+
+    /// Whether shard `i` has an event due before its horizon.
+    fn due(&self, i: usize) -> bool {
+        self.next[i].is_some_and(|t| t < self.horizons[i])
+    }
+
+    /// Takes shard `i`'s window report.
+    fn report(&mut self, i: usize, r: Report) {
+        self.next[i] = r.next;
+        if r.mailed {
+            self.senders.push(i as u32);
+        }
+        self.stop |= r.stopped;
+    }
+}
+
+/// Executes one shard's events strictly below `horizon` and reports what
+/// the window left behind.
 ///
 /// `shard` is the cell's index in the world vector; each event is
 /// bracketed by a `shardsan` mode update so ownership checks inside
@@ -193,7 +289,7 @@ fn get_mut<W: ShardWorld>(cell: &mut Mutex<Cell<W>>) -> &mut Cell<W> {
 /// stamp time + seq into a violation report). The caller resets the
 /// worker's mode with [`sanitizer::exit_parallel`] once its shards for
 /// the window are done.
-fn run_window<W: ShardWorld>(shard: u32, cell: &mut Cell<W>, horizon: Time) {
+fn run_window<W: ShardWorld>(shard: u32, cell: &mut Cell<W>, horizon: Time) -> Report {
     while !cell.sched.is_stopped() {
         let Some(s) = cell.sched.pop_if_before(horizon) else {
             break;
@@ -203,6 +299,7 @@ fn run_window<W: ShardWorld>(shard: u32, cell: &mut Cell<W>, horizon: Time) {
         sanitizer::enter_event(shard, s.at, s.seq);
         cell.world.handle(s.event, &mut cell.sched);
     }
+    Report::of(cell)
 }
 
 impl<W: ShardWorld> ShardedSim<W>
@@ -376,23 +473,23 @@ where
     /// (and pinned by the `inline_and_scoped_paths_are_byte_identical`
     /// test).
     fn run_inline(&mut self) {
-        let n = self.cells.len();
-        let mut next: Vec<Option<Time>> = vec![None; n];
-        let mut horizons: Vec<Time> = vec![Time::ZERO; n];
+        let mut st = RoundState::new(&self.cells);
         loop {
-            let (cells, globals) = (&self.cells, &mut self.globals);
-            if !begin_round(cells, &self.matrix, globals, &mut next, &mut horizons) {
+            if !begin_round(&self.cells, &self.matrix, &mut self.globals, &mut st) {
                 break;
             }
             self.rounds += 1;
             #[cfg(test)]
-            self.epoch_log.extend(horizons.iter().map(|h| h.as_ps()));
+            self.epoch_log.extend(st.horizons.iter().map(|h| h.as_ps()));
             for (i, cell) in self.cells.iter_mut().enumerate() {
-                run_window(i as u32, get_mut(cell), horizons[i]);
+                if st.due(i) {
+                    let r = run_window(i as u32, get_mut(cell), st.horizons[i]);
+                    st.report(i, r);
+                }
             }
             sanitizer::exit_parallel();
-            let stop = merge_windows(&self.cells, &horizons, &mut self.mail, &mut self.messages);
-            if stop {
+            merge_windows(&self.cells, &mut self.mail, &mut self.messages, &mut st);
+            if st.stop {
                 break;
             }
         }
@@ -425,14 +522,18 @@ where
             coordinator: std::thread::current(),
         };
         let horizon_ps: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        // Per shard: a worker's window report (`Report::flags`, then the
+        // next event time), published before its `Gate::finish`.
+        let reports: Vec<[AtomicU64; 2]> = (0..n)
+            .map(|_| [AtomicU64::new(0), AtomicU64::new(0)])
+            .collect();
         let cells = &self.cells;
         let matrix = &self.matrix;
         let globals = &mut self.globals;
         let mut mail = std::mem::take(&mut self.mail);
         let mut rounds = 0u64;
         let mut messages = 0u64;
-        let mut next: Vec<Option<Time>> = vec![None; n];
-        let mut horizons: Vec<Time> = vec![Time::ZERO; n];
+        let mut st = RoundState::new(cells);
         #[cfg(test)]
         let mut epochs: Vec<u64> = Vec::new();
         #[cfg(test)]
@@ -446,7 +547,7 @@ where
             };
             let handles: Vec<_> = (1..threads)
                 .map(|w| {
-                    let (gate, horizon_ps) = (&gate, &horizon_ps);
+                    let (gate, horizon_ps, reports) = (&gate, &horizon_ps, &reports);
                     let handle = scope.spawn(move || {
                         let _poison = PoisonOnUnwind(gate);
                         let mut seen = 0;
@@ -454,7 +555,10 @@ where
                             seen = generation;
                             for i in (w..n).step_by(threads) {
                                 let h = Time::from_ps(horizon_ps[i].load(Ordering::Acquire));
-                                run_window(i as u32, &mut lock(&cells[i]), h);
+                                let r = run_window(i as u32, &mut lock(&cells[i]), h);
+                                let next_ps = r.next.map_or(0, Time::as_ps);
+                                reports[i][0].store(r.flags(), Ordering::Relaxed);
+                                reports[i][1].store(next_ps, Ordering::Relaxed);
                             }
                             sanitizer::exit_parallel();
                             gate.finish(workers);
@@ -465,33 +569,43 @@ where
                 })
                 .collect();
             loop {
-                if !begin_round(cells, matrix, globals, &mut next, &mut horizons) {
+                if !begin_round(cells, matrix, globals, &mut st) {
                     break;
                 }
                 rounds += 1;
                 #[cfg(test)]
-                epochs.extend(horizons.iter().map(|h| h.as_ps()));
-                let dispatch =
-                    (0..n).any(|i| i % threads != 0 && next[i].is_some_and(|t| t < horizons[i]));
+                epochs.extend(st.horizons.iter().map(|h| h.as_ps()));
+                let dispatch = (0..n).any(|i| i % threads != 0 && st.due(i));
                 if dispatch {
                     #[cfg(test)]
                     {
                         dispatched += 1;
                     }
-                    for (slot, h) in horizon_ps.iter().zip(&horizons) {
+                    for (slot, h) in horizon_ps.iter().zip(&st.horizons) {
                         slot.store(h.as_ps(), Ordering::Release);
                     }
                     opener.open_round();
                 }
                 for i in (0..n).step_by(threads) {
-                    run_window(i as u32, &mut lock(&cells[i]), horizons[i]);
+                    if st.due(i) {
+                        let r = run_window(i as u32, &mut lock(&cells[i]), st.horizons[i]);
+                        st.report(i, r);
+                    }
                 }
                 sanitizer::exit_parallel();
-                if dispatch && !gate.await_workers(workers) {
-                    break;
+                if dispatch {
+                    if !gate.await_workers(workers) {
+                        break;
+                    }
+                    for (i, [flags, next_ps]) in reports.iter().enumerate() {
+                        if i % threads != 0 {
+                            let flags = flags.load(Ordering::Relaxed);
+                            st.report(i, Report::unpack(flags, next_ps.load(Ordering::Relaxed)));
+                        }
+                    }
                 }
-                let stop = merge_windows(cells, &horizons, &mut mail, &mut messages);
-                if stop {
+                merge_windows(cells, &mut mail, &mut messages, &mut st);
+                if st.stop {
                     break;
                 }
             }
@@ -646,28 +760,25 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
-/// Starts a round: reads every shard's next-event time, runs the barrier
-/// operations now due, and computes the per-shard horizons. Returns
+/// Starts a round: runs the barrier operations now due and computes the
+/// per-shard horizons from the shards' reported next-event times. Returns
 /// `false` when all queues are empty — the run is complete, and every
 /// pending barrier operation has run.
 ///
 /// `h_i = min_j(N_j + D⁺(j, i))` — each shard runs to the earliest instant
 /// any shard's pending work could causally reach it, including its own
-/// sends reflected back (`j = i` with the min round-trip cycle). Under the
+/// sends reflected back (`j = i` with the min round-trip cycle). The pass
+/// is row-major over the senders `j` that have a next event. Under the
 /// uniform flat matrix every horizon is `min_j(N_j) + L`. A pending
 /// barrier operation at `g` caps every horizon at `g + 1 ps`.
 fn begin_round<W: ShardWorld>(
     cells: &[Mutex<Cell<W>>],
     dist: &[Time],
     globals: &mut VecDeque<(Time, W::Event)>,
-    next: &mut [Option<Time>],
-    horizons: &mut [Time],
+    st: &mut RoundState,
 ) -> bool {
     let n = cells.len();
-    for (slot, cell) in next.iter_mut().zip(cells) {
-        *slot = lock(cell).sched.next_time();
-    }
-    let first = next.iter().flatten().min().copied();
+    let first = st.next.iter().flatten().min().copied();
     run_due_globals(cells, globals, first);
     if first.is_none() {
         return false;
@@ -675,14 +786,14 @@ fn begin_round<W: ShardWorld>(
     let cap = globals
         .front()
         .map_or(Time::MAX, |(g, _)| g.saturating_add(Time::from_ps(1)));
-    for (i, h) in horizons.iter_mut().enumerate() {
-        let mut bound = cap;
-        for (j, nj) in next.iter().enumerate() {
-            if let Some(nj) = nj {
-                bound = bound.min(nj.saturating_add(dist[j * n + i]));
-            }
+    st.horizons.fill(cap);
+    for (j, nj) in st.next.iter().enumerate() {
+        let Some(nj) = *nj else {
+            continue;
+        };
+        for (h, &d) in st.horizons.iter_mut().zip(&dist[j * n..(j + 1) * n]) {
+            *h = (*h).min(nj.saturating_add(d));
         }
-        *h = bound;
     }
     true
 }
@@ -710,50 +821,56 @@ fn run_due_globals<W: ShardWorld>(
     }
 }
 
-/// Post-window barrier work: merge the per-(sender, receiver) mailbox
-/// buffers into destination queues and report whether any shard requested
-/// a stop. Single-threaded; fully deterministic (sender-major swap order,
-/// receiver-major drain order — and delivery order cannot matter anyway,
-/// because the queue orders by the `(time, class, src, seq)` key stamped
-/// at send time).
+/// Post-window barrier work: merges the mail of the shards that sent any
+/// into the destination queues, and refreshes each receiver's next-event
+/// time. Single-threaded; fully deterministic (receiver-major, then sender
+/// order — and delivery order cannot matter anyway, because the queue
+/// orders by the `(time, class, src, seq)` key stamped at send time).
+/// Only the pairs that carried mail are visited, and each receiver is
+/// locked once.
 fn merge_windows<W: ShardWorld>(
     cells: &[Mutex<Cell<W>>],
-    horizons: &[Time],
     mail: &mut [Vec<Outgoing<W::Event>>],
     messages: &mut u64,
-) -> bool {
+    st: &mut RoundState,
+) {
+    if st.senders.is_empty() {
+        return;
+    }
     // Only the coordinator runs here, after the post-window barrier:
     // Barrier mode lets ownership checks pass.
-    let barrier_at = horizons.iter().copied().min().unwrap_or(Time::ZERO);
+    let barrier_at = st.horizons.iter().copied().min().unwrap_or(Time::ZERO);
     sanitizer::enter_barrier(barrier_at);
     let n = cells.len();
-    let mut stop = false;
-    for (src, cell) in cells.iter().enumerate() {
-        let mut c = lock(cell);
-        c.sched.swap_outboxes(&mut mail[src * n..(src + 1) * n]);
-        stop |= c.sched.is_stopped();
+    for &src in &st.senders {
+        let src = src as usize;
+        lock(&cells[src])
+            .sched
+            .swap_outboxes(&mut mail[src * n..(src + 1) * n], &mut st.pairs);
     }
-    for (dst, cell) in cells.iter().enumerate() {
-        let mut c = lock(cell);
-        for src in 0..n {
-            let buf = &mut mail[src * n + dst];
-            if buf.is_empty() {
-                continue;
-            }
+    st.senders.clear();
+    st.pairs.sort_unstable();
+    let mut pairs = st.pairs.iter().peekable();
+    while let Some(&&(dst, _)) = pairs.peek() {
+        let dst = dst as usize;
+        let mut c = lock(&cells[dst]);
+        while let Some(&(_, src)) = pairs.next_if(|p| p.0 as usize == dst) {
+            let buf = &mut mail[src as usize * n + dst];
             *messages += buf.len() as u64;
             for m in buf.drain(..) {
                 assert!(
-                    m.at >= horizons[dst],
+                    m.at >= st.horizons[dst],
                     "lookahead violation: arrival {:?} inside window ending {:?}",
                     m.at,
-                    horizons[dst]
+                    st.horizons[dst]
                 );
-                c.sched.deliver(m.at, src as u32, m.seq, m.event);
+                c.sched.deliver(m.at, src, m.seq, m.event);
             }
         }
+        st.next[dst] = c.sched.next_time();
     }
+    st.pairs.clear();
     sanitizer::exit_barrier();
-    stop
 }
 
 #[cfg(test)]
@@ -880,6 +997,7 @@ mod tests {
             .map(|(i, w)| (w, Scheduler::new(i as u32, LOOKAHEAD, n), 0u64))
             .collect();
         let mut bufs: Vec<Vec<Outgoing<TEv>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut globals: Vec<(u64, TEv)> = Vec::new();
         for (shard, at, ev) in script {
             match ev {
@@ -915,11 +1033,11 @@ mod tests {
             s.set_now(ev.at);
             *ex += 1;
             w.handle(ev.event, s);
-            s.swap_outboxes(&mut bufs);
-            let src = shard as u32;
-            for dst in 0..n {
-                for m in bufs[dst].drain(..) {
-                    cells[dst].1.deliver(m.at, src, m.seq, m.event);
+            s.swap_outboxes(&mut bufs, &mut pairs);
+            assert_eq!(s.parked_mail(), 0, "a message missed the swap");
+            for (dst, src) in pairs.drain(..) {
+                for m in bufs[dst as usize].drain(..) {
+                    cells[dst as usize].1.deliver(m.at, src, m.seq, m.event);
                 }
             }
         }

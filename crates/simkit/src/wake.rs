@@ -223,6 +223,7 @@ impl WakeCoalescer {
     /// the sentinel, the deferred wake (if any) is resolved: the returned
     /// emit (if some) must be pushed via `schedule_at_seq` and becomes the
     /// new sentinel.
+    #[inline]
     fn on_delivery(&mut self, serial: u64, current_epoch: u64) -> Option<WakeEmit> {
         match self.armed {
             Some((_, s)) if s == serial => {
@@ -269,6 +270,7 @@ impl WakeSet {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn touch(&mut self, i: usize) {
         assert!(i < self.coal.len(), "resource {i} out of range");
         self.touched[i / 64] |= 1 << (i % 64);

@@ -7,8 +7,8 @@
 //! of the immediate future, in order". A timer wheel exploits that access
 //! pattern: events are binned by time into hierarchical slots (a calendar
 //! with pages of coarser and coarser granularity), and only the events of
-//! the earliest non-empty bin are kept fully sorted — in a small *active
-//! heap* whose size is the bin population, not the queue population.
+//! the earliest non-empty bin are kept fully sorted — in a small *run*
+//! whose size is the bin population, not the queue population.
 //!
 //! # Layout
 //!
@@ -18,39 +18,53 @@
 //!   heap and are swept in when the wheel reaches them (`RunEnd` sentinels
 //!   and `Time::MAX` "never" timers land there).
 //! * `cpos` is the absolute index of the first undrained level-0 slot.
-//!   Everything strictly before `cpos`'s slot boundary lives in the
-//!   `active` heap, ordered by the full `(time, class, src, seq)` key;
-//!   everything at or after it lives in a wheel slot or in overflow.
+//!   Everything strictly before `cpos`'s slot boundary is *promoted*: it
+//!   lives in the sorted `run` or the `side` heap, ordered by the full
+//!   `(time, class, src, seq)` key; everything at or after it lives in a
+//!   wheel slot or in overflow.
+//! * The `run` is the promoted slot's events, sorted once at refill in
+//!   descending key order, so the earliest event is the last element and a
+//!   pop is `Vec::pop`. Pushes that land in the promoted region after the
+//!   refill (`epos < cpos`, typically zero-delay or same-slot follow-ups)
+//!   go to the small `side` heap instead of being inserted into the run,
+//!   so a burst of same-slot pushes costs `O(log side)` each, never a
+//!   shift of the run. A pop takes the smaller of the run's last element
+//!   and the side heap's minimum.
 //! * Each level keeps a 256-bit occupancy bitmap, so finding the next
 //!   non-empty slot is a word scan, not a slot walk.
 //!
 //! # Invariants
 //!
-//! 1. `active` holds exactly the pending events with
-//!    `at < cpos << L0_BITS`; [`TimerWheel::next_time`] is therefore a
-//!    peek of `active` alone. The wheel *eagerly advances*: whenever
-//!    `active` drains while events remain, [`TimerWheel::refill`] promotes
-//!    the earliest slot immediately, so `active` is empty only when the
+//! 1. `run ∪ side` holds exactly the pending events with
+//!    `at < cpos << L0_BITS`; [`TimerWheel::next_time`] is therefore the
+//!    smaller of two peeks. The wheel *eagerly advances*: whenever both
+//!    drain while events remain, [`TimerWheel::refill`] promotes the
+//!    earliest slot immediately, so they are both empty only when the
 //!    whole queue is.
-//! 2. At every level ≥ 1, the slot at `cpos`'s own field is never
+//! 2. `run` is sorted in descending full-key order at all times: it is
+//!    sorted when filled, only ever shrinks from its end afterwards, and is
+//!    refilled only once empty.
+//! 3. At every level ≥ 1, the slot at `cpos`'s own field is never
 //!    occupied: crossing into a coarser page cascades that page's events
 //!    down *before* any new insert can bin against the new position.
 //!    Without this, an insert landing in level 0 of a fresh page could
 //!    sort ahead of earlier events still parked in the page's level-1
 //!    slot.
-//! 3. Slot vectors and the two heaps recycle their capacity; a steady
-//!    simulation allocates nothing here after warm-up.
+//! 4. Slot vectors, the run and the two heaps recycle their capacity (a
+//!    refill moves the slot's events into the run, and each keeps its own
+//!    buffer); a steady simulation allocates nothing here after warm-up.
 //!
 //! # Why the pop order is exactly the heap's
 //!
 //! Ordering keys are unique (`seq` is a per-source monotone counter), and
 //! slot arithmetic partitions events by disjoint time ranges: everything
-//! promoted into `active` precedes everything still binned. Within
-//! `active`, a real binary heap on the full key restores exact order. So
-//! for any interleaving of pushes and pops the wheel emits the same
-//! sequence as a global heap — the property suite below drives both
-//! structures (the pre-wheel `BinaryHeap` queue is retained verbatim as
-//! the oracle) through seeded random schedules and asserts it.
+//! promoted precedes everything still binned. Within the promoted region,
+//! the sorted run and the side heap each yield their events in full-key
+//! order, and a pop takes the smaller head of the two. So for any
+//! interleaving of pushes and pops the wheel emits the same sequence as a
+//! global heap — the property suite below drives both structures (the
+//! pre-wheel `BinaryHeap` queue is retained verbatim as the oracle)
+//! through seeded random schedules and asserts it.
 
 use crate::engine::Scheduled;
 use crate::time::Time;
@@ -59,7 +73,7 @@ use std::collections::BinaryHeap;
 
 /// log2 of the level-0 slot width in picoseconds (16.4 ns — a few slots
 /// per typical device latency, so a synchronization window spans tens of
-/// slots and the active heap stays small).
+/// slots and the sorted run stays small).
 const L0_BITS: u32 = 14;
 /// log2 of the slots per level.
 const SLOT_BITS: u32 = 8;
@@ -80,11 +94,15 @@ pub(crate) struct TimerWheel<E> {
     occ: [[u64; WORDS]; LEVELS],
     /// Absolute level-0 slot index of the first undrained slot.
     cpos: u64,
-    /// Events with `at < cpos << L0_BITS`, in full-key order.
-    active: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// The promoted slot's events, sorted in descending full-key order
+    /// (the earliest is last).
+    run: Vec<Scheduled<E>>,
+    /// Events pushed into the promoted region (`at < cpos << L0_BITS`)
+    /// after its refill, in full-key order.
+    side: BinaryHeap<Reverse<Scheduled<E>>>,
     /// Events beyond the top level's horizon.
     overflow: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// Total pending events (active + slots + overflow).
+    /// Total pending events (run + side + slots + overflow).
     len: usize,
 }
 
@@ -99,7 +117,8 @@ impl<E> TimerWheel<E> {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [[0; WORDS]; LEVELS],
             cpos: 0,
-            active: BinaryHeap::new(),
+            run: Vec::new(),
+            side: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
         }
@@ -112,32 +131,55 @@ impl<E> TimerWheel<E> {
     }
 
     /// Timestamp of the earliest pending event. Invariant 1 makes this a
-    /// peek of the active heap: `None` iff the queue is empty.
+    /// peek of the run and the side heap: `None` iff the queue is empty.
     #[inline]
     pub(crate) fn next_time(&self) -> Option<Time> {
-        self.active.peek().map(|Reverse(s)| s.at)
+        match (self.run.last(), self.side.peek()) {
+            (Some(r), Some(Reverse(s))) => Some(r.at.min(s.at)),
+            (Some(r), None) => Some(r.at),
+            (None, Some(Reverse(s))) => Some(s.at),
+            (None, None) => None,
+        }
+    }
+
+    /// Whether the promoted region (run and side heap) is empty.
+    #[inline]
+    fn promoted_empty(&self) -> bool {
+        self.run.is_empty() && self.side.is_empty()
     }
 
     /// Inserts an event.
+    #[inline]
     pub(crate) fn push(&mut self, ev: Scheduled<E>) {
         self.len += 1;
         let epos = ev.at.as_ps() >> L0_BITS;
         if epos < self.cpos {
-            // Inside the already-promoted region: join the active heap.
-            self.active.push(Reverse(ev));
+            // Inside the already-promoted region: join the side heap (the
+            // run stays sorted; see invariant 2).
+            self.side.push(Reverse(ev));
         } else {
             self.bin(epos, ev);
-            if self.active.is_empty() {
+            if self.promoted_empty() {
                 self.refill();
             }
         }
     }
 
     /// Removes and returns the earliest event (exact full-key order).
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
-        let Reverse(ev) = self.active.pop()?;
+        let from_side = match (self.run.last(), self.side.peek()) {
+            (Some(r), Some(Reverse(s))) => s < r,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        let ev = if from_side {
+            self.side.pop().map(|Reverse(s)| s)
+        } else {
+            self.run.pop()
+        }?;
         self.len -= 1;
-        if self.active.is_empty() && self.len > 0 {
+        if self.len > 0 && self.promoted_empty() {
             self.refill();
         }
         Some(ev)
@@ -207,10 +249,10 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Promotes the earliest non-empty region into the active heap.
-    /// Called only when `active` is empty and events remain binned.
+    /// Promotes the earliest non-empty slot into the run. Called only when
+    /// the run and the side heap are empty and events remain binned.
     fn refill(&mut self) {
-        debug_assert!(self.active.is_empty());
+        debug_assert!(self.promoted_empty());
         const TOP_SHIFT: u32 = SLOT_BITS * LEVELS as u32;
         loop {
             // Overflow membership was decided against an older `cpos`;
@@ -228,18 +270,20 @@ impl<E> TimerWheel<E> {
                 let epos = ev.at.as_ps() >> L0_BITS;
                 self.bin(epos, ev);
             }
-            // The current level-0 page: drain its first occupied slot.
+            // The current level-0 page: promote its first occupied slot
+            // into the run, sorted once, descending. Moving the events
+            // (not swapping vectors) keeps each slot's capacity its own,
+            // so one crowded slot's capacity does not spread to the rest.
             if let Some(slot) = self.first_occupied(0, field(self.cpos, 0)) {
                 let abs = (self.cpos & !(SLOTS as u64 - 1)) | slot as u64;
                 debug_assert!(abs >= self.cpos);
                 let mut v = self.take_slot(0, slot);
-                for ev in v.drain(..) {
-                    self.active.push(Reverse(ev));
-                }
+                self.run.append(&mut v);
                 self.restore_slot(0, slot, v);
+                self.run.sort_unstable_by(|a, b| b.cmp(a));
                 self.cpos = abs + 1;
                 self.cascade_crossed();
-                if !self.active.is_empty() {
+                if !self.run.is_empty() {
                     return;
                 }
                 continue;
@@ -271,7 +315,7 @@ impl<E> TimerWheel<E> {
             // the wheel to the overflow minimum; the sweep at the top of
             // the loop then ingests its whole top-level page.
             let Some(Reverse(min)) = self.overflow.peek() else {
-                debug_assert_eq!(self.len, self.active.len());
+                debug_assert_eq!(self.len, 0);
                 return;
             };
             let min_epos = min.at.as_ps() >> L0_BITS;
@@ -426,6 +470,81 @@ mod tests {
             }
             lockstep(&ops);
         }
+    }
+
+    testkit::prop! {
+        cases = 64;
+
+        fn wheel_matches_heap_oracle_when_same_slot_pushes_dominate(
+            raws in testkit::gen::vecs(
+                (testkit::gen::u64s(0..1 << 20), testkit::gen::u64s(0..8)),
+                1..=400,
+            ),
+        ) {
+            // Most pushes land in the slot the wheel has already promoted
+            // (`epos < cpos`), many at one instant with one class and
+            // source, so only `seq` separates them (full-key ties up to
+            // the sequence). The floor follows the last pushed instant, so
+            // pushes keep hitting the promoted slot between pops.
+            const SLOT: u64 = 1 << L0_BITS;
+            let mut ops = Vec::new();
+            let mut floor = 0u64;
+            for (raw, kind) in &raws {
+                match kind {
+                    0 | 1 => ops.push(Op::Pop),
+                    k => {
+                        let at = match raw % 4 {
+                            0 | 1 => floor,                      // exact tie
+                            2 => floor - floor % SLOT + raw % SLOT, // same slot
+                            _ => floor + raw % (4 * SLOT),       // next slots
+                        };
+                        floor = floor.max(at);
+                        ops.push(Op::Push {
+                            at,
+                            delivered: k % 3 == 0,
+                            src: (*raw % 2) as u32,
+                        });
+                    }
+                }
+            }
+            lockstep(&ops);
+        }
+    }
+
+    #[test]
+    fn single_slot_burst_of_twelve_thousand_pops_in_key_order() {
+        // An early event holds the wheel back while the first 6,000
+        // events of a burst bin into the next slot; popping it promotes
+        // that slot as one sorted run. The other 6,000 then land in the
+        // promoted slot — the side heap — interleaved with pops, so pops
+        // keep choosing between the run and the side heap. Keys arrive
+        // in scrambled order, a third of them at one instant.
+        const SLOT: u64 = 1 << L0_BITS;
+        let mut ops = vec![Op::Push {
+            at: 5,
+            delivered: false,
+            src: 0,
+        }];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..12_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let at = if x.is_multiple_of(3) {
+                SLOT
+            } else {
+                SLOT + x % SLOT
+            };
+            ops.push(Op::Push {
+                at,
+                delivered: x.is_multiple_of(5),
+                src: (x % 3) as u32,
+            });
+            if i == 5_999 || (i > 6_000 && i % 3 == 0) {
+                ops.push(Op::Pop);
+            }
+        }
+        lockstep(&ops);
     }
 
     #[test]

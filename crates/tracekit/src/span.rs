@@ -24,6 +24,7 @@ impl TraceId {
     pub const MAINT: TraceId = TraceId(1);
 
     /// Whether this is the null (unsampled) trace.
+    #[inline]
     pub fn is_null(self) -> bool {
         self.0 == 0
     }
@@ -41,6 +42,7 @@ impl SpanId {
     pub const NULL: SpanId = SpanId(0);
 
     /// Whether this is the null span.
+    #[inline]
     pub fn is_null(self) -> bool {
         self.0 == 0
     }

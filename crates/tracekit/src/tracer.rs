@@ -85,12 +85,14 @@ impl Tracer {
 
     /// Head-sampling decision for a request's issue ordinal: a pure function
     /// of `(seed, ordinal)`, independent of tracer state.
+    #[inline]
     fn sampled(&self, ordinal: u64) -> bool {
         self.on && mix(self.seed ^ mix(ordinal)).is_multiple_of(self.sample_one_in)
     }
 
     /// The trace id for a request by issue ordinal: null when unsampled,
     /// otherwise `ordinal + 2` (0 and 1 are reserved).
+    #[inline]
     pub fn trace_for(&self, ordinal: u64) -> TraceId {
         if self.sampled(ordinal) {
             TraceId(ordinal + 2)
@@ -110,6 +112,7 @@ impl Tracer {
 
     /// Opens a span at simulated time `now`. Returns [`SpanId::NULL`] (a
     /// universal no-op handle) when disabled or the trace is unsampled.
+    #[inline]
     pub fn span_open(
         &mut self,
         trace: TraceId,
@@ -122,6 +125,20 @@ impl Tracer {
         if !self.on || trace.is_null() {
             return SpanId::NULL;
         }
+        self.open_span(trace, parent, kind, label, bytes, now)
+    }
+
+    /// The body of [`Self::span_open`] for an enabled tracer and a sampled
+    /// trace, out of line so the disabled path inlines to one branch.
+    fn open_span(
+        &mut self,
+        trace: TraceId,
+        parent: SpanId,
+        kind: StageKind,
+        label: &'static str,
+        bytes: u64,
+        now: Time,
+    ) -> SpanId {
         self.next_span += 1;
         let id = SpanId(self.next_span);
         self.opened += 1;
@@ -146,10 +163,15 @@ impl Tracer {
 
     /// Closes a span at `now`, attaching every fault mark whose timestamp
     /// falls inside `[open, now]`, and retires it to the ring sink.
+    #[inline]
     pub fn span_close(&mut self, id: SpanId, now: Time) {
-        if id.is_null() {
-            return;
+        if !id.is_null() {
+            self.close_span(id, now);
         }
+    }
+
+    /// The body of [`Self::span_close`] for a real span.
+    fn close_span(&mut self, id: SpanId, now: Time) {
         if let Some(mut s) = self.open.remove(&id.0) {
             s.close = now;
             for (at, desc) in &self.faults {
@@ -174,13 +196,18 @@ impl Tracer {
     }
 
     /// Records the queue depth observed when the span's work was submitted.
+    #[inline]
     pub fn span_set_queue(&mut self, id: SpanId, depth: u32) {
+        if id.is_null() {
+            return;
+        }
         if let Some(s) = self.open.get_mut(&id.0) {
             s.queue = depth;
         }
     }
 
     /// A zero-duration span: open and close at the same instant.
+    #[inline]
     pub fn instant(
         &mut self,
         trace: TraceId,
