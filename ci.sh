@@ -17,6 +17,20 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 
+# Every perfbench build rewrites perfbench/Cargo.lock (it still lists
+# dependencies the workspace crates dropped), and the benchmark's files must
+# stay as committed. Keep the committed bytes aside before the first
+# perfbench build and put them back when the script exits, whether the last
+# perfbench step passed or any step failed.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+restore_perfbench_lock() {
+    cp "$perfbench_lock" perfbench/Cargo.lock
+    rm -f "$perfbench_lock"
+}
+trap restore_perfbench_lock EXIT
+trap 'exit 130' INT TERM HUP
+
 # The repo benchmark (perfbench/) is its own workspace, so the build above
 # never compiles it: build it explicitly, so an API change that breaks the
 # benchmark fails here.

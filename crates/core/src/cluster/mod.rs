@@ -218,6 +218,12 @@ pub struct Cluster {
     /// Per pool block: the version its replicas append and its checksum,
     /// built on first launch.
     versions: Vec<Option<StoredVersion>>,
+    /// Pool blocks whose version is not built yet.
+    versions_missing: usize,
+    /// The hub's one LZ4 table, reused by every stored version it builds:
+    /// plain blocks and, with data services on, sealed containers.
+    /// Released once `versions_missing` reaches 0.
+    lz4: lz4kit::Compressor,
     mlc: Option<MlcInjector>,
     /// Wakeup driver over every fabric key and rack link (see
     /// [`simkit::wake`]): at most one armed heap entry per resource, with
@@ -345,6 +351,8 @@ impl Cluster {
             plans: PlanTable::default(),
             plan_ids: vec![None; pool_blocks * ports * request::PLAN_OPS],
             versions: (0..pool_blocks).map(|_| None).collect(),
+            versions_missing: pool_blocks,
+            lz4: lz4kit::Compressor::new(),
             mlc: cfg.mlc.map(|(cores, delay)| MlcInjector::new(cores, delay)),
             wakes: WakeSet::new(topo.wake_count()),
             pending: Vec::new(),

@@ -404,15 +404,17 @@ impl Cluster {
     /// Retries and fail-over redirects ship byte-identical data.
     fn stored_version(&mut self, pool_idx: usize, b: u32) -> &StoredVersion {
         self.versions[pool_idx].get_or_insert_with(|| {
+            let payload = self.workload.payload(pool_idx);
             let stored = match self.services.as_mut() {
-                Some(svc) => {
-                    StoredBlock::raw(svc.sealed_block(pool_idx, self.workload.payload(pool_idx)).0)
-                }
-                None => {
-                    let payload = self.workload.payload(pool_idx);
-                    StoredBlock::lz4(lz4kit::compress_with(payload, lz4kit::Level::Fast), b)
-                }
+                Some(svc) => StoredBlock::raw(svc.sealed_block(&mut self.lz4, pool_idx, payload).0),
+                None => StoredBlock::lz4(self.lz4.compress(payload), b),
             };
+            self.versions_missing -= 1;
+            if self.versions_missing == 0 {
+                // Every pool block has its version: nothing compresses
+                // again, so give the table's 256 KiB back.
+                self.lz4 = lz4kit::Compressor::new();
+            }
             let crc = crc32(&stored.data);
             StoredVersion { stored, crc }
         })

@@ -26,6 +26,7 @@ use datakit::{
 };
 use hwmodel::consts::{ENGINE_BLOCK_SETUP, SVC_ENGINE_CRYPT_BW, SVC_ENGINE_DEDUP_BW};
 use hwmodel::{CompressEngine, CpuPool};
+use lz4kit::Compressor;
 use simkit::json::Object;
 use simkit::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
@@ -216,6 +217,9 @@ pub struct Services {
     pub(crate) engines: Vec<CompressEngine>,
     /// Memoized sealed containers per pool block.
     sealed: BTreeMap<usize, (Bytes, u32)>,
+    /// LZ4 table of [`Services::seal`]; the hub seals with its own table
+    /// through `sealed_block`, so inside a run this one stays unallocated.
+    lz4: Compressor,
     /// Completed writes: block key → (primary replica server, pool index).
     written: BTreeMap<BlockKey, (u32, u32)>,
     /// In-flight prefetches: id → (key, sealed bytes).
@@ -256,6 +260,7 @@ impl Services {
                 CompressEngine::with_rate("svc-crypt", SVC_ENGINE_CRYPT_BW, ENGINE_BLOCK_SETUP, 1),
             ],
             sealed: BTreeMap::new(),
+            lz4: Compressor::new(),
             written: BTreeMap::new(),
             prefetch_inflight: BTreeMap::new(),
             prefetch_keys: BTreeSet::new(),
@@ -281,6 +286,14 @@ impl Services {
     /// records per-chunk references so [`Services::unseal`] can reassemble
     /// the exact payload (duplicate chunks resolve against the index).
     pub fn seal(&mut self, segment: u64, payload: &[u8]) -> Vec<u8> {
+        let mut lz4 = std::mem::take(&mut self.lz4);
+        let container = self.seal_with(&mut lz4, segment, payload);
+        self.lz4 = lz4;
+        container
+    }
+
+    /// [`Services::seal`] compressing with the caller's table.
+    fn seal_with(&mut self, lz4: &mut Compressor, segment: u64, payload: &[u8]) -> Vec<u8> {
         let cuts = self.chunker.cut_all(payload);
         let mut refs = Vec::with_capacity(cuts.len());
         let mut unique = Vec::new();
@@ -295,7 +308,7 @@ impl Services {
             }
             refs.push((is_new, len as u16, fp));
         }
-        let packed = lz4kit::compress(&unique);
+        let packed = lz4.compress(&unique);
         let ct = self.cipher.encrypt(&packed, segment);
         let mut out = Vec::with_capacity(2 + refs.len() * 19 + 4 + ct.len());
         out.extend_from_slice(&(refs.len() as u16).to_le_bytes());
@@ -353,11 +366,16 @@ impl Services {
     /// The memoized sealed container of pool block `pool_idx` (sealed on
     /// first use; retries and re-writes of the same block reuse it, so the
     /// dedup accounting reflects pool content, not request traffic).
-    pub(crate) fn sealed_block(&mut self, pool_idx: usize, payload: &[u8]) -> (Bytes, u32) {
+    pub(crate) fn sealed_block(
+        &mut self,
+        lz4: &mut Compressor,
+        pool_idx: usize,
+        payload: &[u8],
+    ) -> (Bytes, u32) {
         if let Some((bytes, len)) = self.sealed.get(&pool_idx) {
             return (bytes.clone(), *len);
         }
-        let container = self.seal(pool_idx as u64, payload);
+        let container = self.seal_with(lz4, pool_idx as u64, payload);
         let len = container.len() as u32;
         self.seals += 1;
         self.raw_bytes += payload.len() as u64;
@@ -500,8 +518,8 @@ mod tests {
     fn sealed_block_memoizes() {
         let mut svc = Services::new(&ServicesConfig::paper());
         let a = sample(4096, 5);
-        let (b1, l1) = svc.sealed_block(3, &a);
-        let (b2, l2) = svc.sealed_block(3, &a);
+        let (b1, l1) = svc.sealed_block(&mut Compressor::new(), 3, &a);
+        let (b2, l2) = svc.sealed_block(&mut Compressor::new(), 3, &a);
         assert_eq!(&b1[..], &b2[..]);
         assert_eq!(l1, l2);
         assert_eq!(svc.stats().seals, 1, "second call hits the memo");
@@ -511,7 +529,7 @@ mod tests {
     fn prefetch_targets_respect_written_and_cached() {
         let mut svc = Services::new(&ServicesConfig::paper());
         let a = sample(4096, 9);
-        svc.sealed_block(0, &a);
+        svc.sealed_block(&mut Compressor::new(), 0, &a);
         svc.record_write((0, 1, 11), 2, 0);
         svc.record_write((0, 1, 12), 3, 0);
         // Miss at block 10: both sequential neighbours are prefetchable.

@@ -179,7 +179,7 @@ impl<'a> Writer<'a> {
 pub fn compress_into(src: &[u8], dst: &mut [u8], level: Level) -> Result<usize, CompressError> {
     let mut w = Writer::new(dst);
     match level {
-        Level::Fast => compress_fast(src, &mut w)?,
+        Level::Fast => Compressor::new().compress_from(src, 0, &mut w)?,
         Level::High(depth) => compress_hc(src, depth.max(1) as usize, &mut w)?,
     }
     Ok(w.pos)
@@ -217,65 +217,161 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
     compress_with(src, Level::Fast)
 }
 
-/// Greedy single-probe compressor (reference-`LZ4` class).
-fn compress_fast(src: &[u8], w: &mut Writer<'_>) -> Result<(), CompressError> {
-    compress_fast_from(src, 0, w)
+/// Reusable state of the [`Level::Fast`] compressor: its hash table, kept
+/// across calls so a small input does not pay to allocate and zero a
+/// 2^16-entry table.
+///
+/// Each entry holds a *stamp*, `base + position + 1`. A stamp at or below
+/// `base` belongs to an earlier call and reads as empty, so a call starts
+/// from a logically empty table without touching it; after the call,
+/// `base` advances past every stamp the call wrote (by `len + 1`). The
+/// table is zeroed only when `base` would overflow `u32`. The output of
+/// any sequence of calls is byte-identical to compressing each input with
+/// a fresh table, as the free functions do.
+///
+/// # Examples
+///
+/// ```
+/// let mut lz4 = lz4kit::Compressor::new();
+/// let a = b"block storage block storage block storage".repeat(8);
+/// let b = b"another block, another table".repeat(8);
+/// assert_eq!(lz4.compress(&a), lz4kit::compress(&a));
+/// assert_eq!(lz4.compress(&b), lz4kit::compress(&b));
+/// assert_eq!(lz4.compress_with_dict(&a, &b), lz4kit::compress_with_dict(&a, &b));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Compressor {
+    /// Allocated on the first call that needs it.
+    table: Vec<u32>,
+    base: u32,
 }
 
-/// Greedy compressor over `src[start..]`, with `src[..start]` usable as a
-/// match dictionary (the streaming/dictionary mode).
-fn compress_fast_from(src: &[u8], start: usize, w: &mut Writer<'_>) -> Result<(), CompressError> {
-    if src.len() < start + MF_LIMIT + 1 {
-        return w.sequence(&src[start..], None);
-    }
-    let match_start_limit = src.len() - MF_LIMIT;
-    let match_end_limit = src.len() - LAST_LITERALS;
-    let mut table = vec![0u32; 1 << HASH_LOG]; // position + 1; 0 = empty
-    // Index the dictionary so matches can reach back into it.
-    if start >= MIN_MATCH {
-        let from = start.saturating_sub(MAX_OFFSET);
-        for pos in from..=(start - MIN_MATCH).min(match_start_limit.saturating_sub(1)) {
-            table[hash4(read_u32(src, pos), HASH_LOG)] = (pos + 1) as u32;
+impl Compressor {
+    /// An empty compressor; the table is allocated on first use.
+    pub const fn new() -> Self {
+        Compressor {
+            table: Vec::new(),
+            base: 0,
         }
     }
-    let mut anchor = start;
-    let mut i = start;
-    // Acceleration: skip faster through incompressible regions, as the
-    // reference implementation does.
-    let mut misses = 0usize;
 
-    while i < match_start_limit {
-        let h = hash4(read_u32(src, i), HASH_LOG);
-        let cand = table[h] as usize;
-        table[h] = (i + 1) as u32;
-        let found = cand != 0
-            && i + 1 - cand <= MAX_OFFSET
-            && read_u32(src, cand - 1) == read_u32(src, i);
-        if !found {
-            misses += 1;
-            i += 1 + (misses >> 6);
-            continue;
-        }
-        misses = 0;
-        let mut j = cand - 1;
-        let mut mlen = MIN_MATCH + common_len(src, j + MIN_MATCH, i + MIN_MATCH, match_end_limit);
-        // Extend backwards over pending literals.
-        while i > anchor && j > 0 && src[i - 1] == src[j - 1] {
-            i -= 1;
-            j -= 1;
-            mlen += 1;
-        }
-        w.sequence(&src[anchor..i], Some((i - j, mlen)))?;
-        i += mlen;
-        anchor = i;
-        if i < match_start_limit {
-            // Index the position two back to improve the next search,
-            // mirroring the reference's post-match insertions.
-            let back = i - 2;
-            table[hash4(read_u32(src, back), HASH_LOG)] = (back + 1) as u32;
+    /// A compressor whose stale stamps sit just below the `u32` limit, so
+    /// the next calls cross the wraparound.
+    #[cfg(test)]
+    fn near_wraparound(base: u32) -> Self {
+        Compressor {
+            table: vec![base; 1 << HASH_LOG],
+            base,
         }
     }
-    w.sequence(&src[anchor..], None)
+
+    /// Compresses `src` at [`Level::Fast`]; equal to [`compress`].
+    pub fn compress(&mut self, src: &[u8]) -> Vec<u8> {
+        self.compress_from_vec(src, 0)
+    }
+
+    /// Compresses `src` with `dict` as preceding history; equal to
+    /// [`compress_with_dict`].
+    pub fn compress_with_dict(&mut self, dict: &[u8], src: &[u8]) -> Vec<u8> {
+        // Only the last MAX_OFFSET bytes of history are reachable.
+        let dict = &dict[dict.len().saturating_sub(MAX_OFFSET)..];
+        let mut buf = Vec::with_capacity(dict.len() + src.len());
+        buf.extend_from_slice(dict);
+        buf.extend_from_slice(src);
+        self.compress_from_vec(&buf, dict.len())
+    }
+
+    fn compress_from_vec(&mut self, src: &[u8], start: usize) -> Vec<u8> {
+        let mut dst = vec![0u8; compress_bound(src.len() - start)];
+        let mut w = Writer::new(&mut dst);
+        self.compress_from(src, start, &mut w)
+            .expect("compress_bound-sized destination cannot overflow");
+        let n = w.pos;
+        dst.truncate(n);
+        dst
+    }
+
+    /// Greedy compressor over `src[start..]`, with `src[..start]` usable
+    /// as a match dictionary (the streaming/dictionary mode).
+    fn compress_from(
+        &mut self,
+        src: &[u8],
+        start: usize,
+        w: &mut Writer<'_>,
+    ) -> Result<(), CompressError> {
+        if src.len() < start + MF_LIMIT + 1 {
+            return w.sequence(&src[start..], None);
+        }
+        // Every stamp this call writes is at most `base + len`.
+        let next = self.base as u64 + src.len() as u64 + 1;
+        if self.table.is_empty() {
+            self.table = vec![0; 1 << HASH_LOG];
+        } else if next > u32::MAX as u64 {
+            self.table.fill(0);
+            self.base = 0;
+        }
+        let base = self.base;
+        self.base = base.wrapping_add(src.len() as u32).wrapping_add(1);
+        let table = &mut self.table[..];
+        // Position + 1 of the entry, or 0 if it is older than this call.
+        let lookup = |stamp: u32| {
+            if stamp > base {
+                (stamp - base) as usize
+            } else {
+                0
+            }
+        };
+        let stamp = |pos: usize| base.wrapping_add(pos as u32).wrapping_add(1);
+
+        let match_start_limit = src.len() - MF_LIMIT;
+        let match_end_limit = src.len() - LAST_LITERALS;
+        // Index the dictionary so matches can reach back into it.
+        if start >= MIN_MATCH {
+            let from = start.saturating_sub(MAX_OFFSET);
+            for pos in from..=(start - MIN_MATCH).min(match_start_limit.saturating_sub(1)) {
+                table[hash4(read_u32(src, pos), HASH_LOG)] = stamp(pos);
+            }
+        }
+        let mut anchor = start;
+        let mut i = start;
+        // Acceleration: skip faster through incompressible regions, as the
+        // reference implementation does.
+        let mut misses = 0usize;
+
+        while i < match_start_limit {
+            let h = hash4(read_u32(src, i), HASH_LOG);
+            let cand = lookup(table[h]);
+            table[h] = stamp(i);
+            let found = cand != 0
+                && i + 1 - cand <= MAX_OFFSET
+                && read_u32(src, cand - 1) == read_u32(src, i);
+            if !found {
+                misses += 1;
+                i += 1 + (misses >> 6);
+                continue;
+            }
+            misses = 0;
+            let mut j = cand - 1;
+            let mut mlen =
+                MIN_MATCH + common_len(src, j + MIN_MATCH, i + MIN_MATCH, match_end_limit);
+            // Extend backwards over pending literals.
+            while i > anchor && j > 0 && src[i - 1] == src[j - 1] {
+                i -= 1;
+                j -= 1;
+                mlen += 1;
+            }
+            w.sequence(&src[anchor..i], Some((i - j, mlen)))?;
+            i += mlen;
+            anchor = i;
+            if i < match_start_limit {
+                // Index the position two back to improve the next search,
+                // mirroring the reference's post-match insertions.
+                let back = i - 2;
+                table[hash4(read_u32(src, back), HASH_LOG)] = stamp(back);
+            }
+        }
+        w.sequence(&src[anchor..], None)
+    }
 }
 
 /// Hash-chain compressor with bounded search depth (reference-`LZ4-HC`
@@ -366,24 +462,14 @@ fn compress_hc(src: &[u8], depth: usize, w: &mut Writer<'_>) -> Result<(), Compr
 /// # Ok::<(), lz4kit::DecompressError>(())
 /// ```
 pub fn compress_with_dict(dict: &[u8], src: &[u8]) -> Vec<u8> {
-    // Only the last MAX_OFFSET bytes of history are reachable.
-    let dict = &dict[dict.len().saturating_sub(MAX_OFFSET)..];
-    let mut buf = Vec::with_capacity(dict.len() + src.len());
-    buf.extend_from_slice(dict);
-    buf.extend_from_slice(src);
-    let mut dst = vec![0u8; compress_bound(src.len())];
-    let mut w = Writer::new(&mut dst);
-    compress_fast_from(&buf, dict.len(), &mut w)
-        .expect("compress_bound-sized destination cannot overflow");
-    let n = w.pos;
-    dst.truncate(n);
-    dst
+    Compressor::new().compress_with_dict(dict, src)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decompress::decompress_exact;
+    use testkit::gen::{self, Gen};
 
     fn roundtrip(data: &[u8], level: Level) -> usize {
         let packed = compress_with(data, level);
@@ -492,5 +578,101 @@ mod tests {
         }
         roundtrip(&data, Level::Fast);
         roundtrip(&data, Level::High(4));
+    }
+
+    /// `len` bytes over the first `alphabet` byte values with runs and
+    /// repeats, so small alphabets compress and 256 does not.
+    fn sample(seed: u64, len: usize, alphabet: u16) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let run = (x >> 60) as usize + 1;
+            let back = (x >> 32) as usize % 4096 + 1;
+            if x.is_multiple_of(3) && back <= out.len() {
+                let from = out.len() - back;
+                for k in 0..run.min(len - out.len()) {
+                    out.push(out[from + k]);
+                }
+            } else {
+                out.push((x % alphabet as u64) as u8);
+            }
+        }
+        out
+    }
+
+    /// One reuse step: a plain or a dictionary-mode call on sampled data.
+    #[derive(Debug)]
+    struct Call {
+        len: usize,
+        dict: Option<usize>,
+        alphabet: u16,
+        seed: u64,
+    }
+
+    fn call() -> impl Gen<Value = Call> {
+        (
+            testkit::one_of![
+                gen::usizes(0..64),
+                gen::usizes(0..8192),
+                gen::usizes(0..=128 << 10)
+            ],
+            gen::bools(),
+            gen::usizes(0..=80_000),
+            gen::choice(vec![2u16, 4, 16, 256]),
+            gen::u64s(..),
+        )
+            .map(|(len, dict, dict_len, alphabet, seed)| Call {
+                len,
+                dict: dict.then_some(dict_len),
+                alphabet,
+                seed,
+            })
+    }
+
+    testkit::prop! {
+        cases = 64;
+
+        /// A reused table compresses every call of any sequence exactly as
+        /// a fresh table does, also across the `u32` stamp wraparound.
+        fn reused_table_matches_fresh_tables(
+            calls in gen::vecs(call(), 1..8),
+            headroom in testkit::one_of![gen::just(None), gen::u32s(0..=400_000).map(Some)],
+        ) {
+            let mut lz4 = match headroom {
+                Some(h) => Compressor::near_wraparound(u32::MAX - h),
+                None => Compressor::new(),
+            };
+            for c in calls {
+                let src = sample(c.seed, c.len, c.alphabet);
+                match c.dict {
+                    None => assert_eq!(lz4.compress(&src), compress(&src), "{c:?}"),
+                    Some(n) => {
+                        let dict = sample(!c.seed, n, c.alphabet);
+                        assert_eq!(
+                            lz4.compress_with_dict(&dict, &src),
+                            compress_with_dict(&dict, &src),
+                            "{c:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reuse_crosses_the_wraparound_and_stays_exact() {
+        let block = sample(3, 4096, 16);
+        let mut lz4 = Compressor::near_wraparound(u32::MAX - 5000);
+        for _ in 0..3 {
+            assert_eq!(lz4.compress(&block), compress(&block));
+        }
+        assert!(
+            lz4.base < 3 * 4097,
+            "the second call wrapped: base {}",
+            lz4.base
+        );
     }
 }

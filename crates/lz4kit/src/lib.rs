@@ -10,6 +10,8 @@
 //!   ([`Level::Fast`]) and hash-chain ([`Level::High`]) match finders.
 //! * [`decompress`] / [`decompress_exact`] / [`decompress_append`] — fully
 //!   bounds-checked decoding with typed errors.
+//! * [`Compressor`] — the [`Level::Fast`] compressor with its hash table
+//!   kept across calls, for callers that compress many small blocks.
 //! * [`compress_bound`] — exact worst-case output size.
 //! * [`frame`] — the self-describing `.lz4` frame container with xxHash32
 //!   integrity checking ([`xxh32`] is also implemented here, from scratch).
@@ -43,7 +45,7 @@ pub mod frame;
 mod xxhash;
 
 pub use compress::{
-    compress, compress_bound, compress_into, compress_with, compress_with_dict, Level,
+    compress, compress_bound, compress_into, compress_with, compress_with_dict, Compressor, Level,
 };
 pub use decompress::{
     decompress, decompress_append, decompress_append_continuing, decompress_exact,
